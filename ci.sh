@@ -27,6 +27,12 @@ go build ./...
 echo "== go test =="
 go test $short ./...
 
+echo "== servebench =="
+# The benchmark is its own module, so go build ./... above never
+# compiles it; vet, test and build it here so an internal API change it
+# depends on fails CI, not just the next benchmark run.
+(cd servebench && go vet . && go test . && go build -o /dev/null .)
+
 echo "== go test -race =="
 go test -race $short ./...
 
@@ -208,45 +214,6 @@ blud_pid=""
 go run ./cmd/blumanifest \
   -require persist_recovered_total,persist_snapshots_total \
   "$obsdir/blud2_manifest.json"
-
-echo "== state migration smoke =="
-# Cross-version state round-trip on the directory the restart smoke
-# left behind: blustate downgrades every artifact to the v1 on-disk
-# format, and a relaunched (v2) daemon must open the v1 directory in
-# place — logging a nonzero migrated count, carrying nonzero
-# persist_migrated_total into its drain manifest, and answering the
-# same session infer as a byte-identical cache hit, proving the
-# v2 → v1 → v2 rewrite chain loses nothing.
-go build -race -o "$obsdir/blustate" ./cmd/blustate
-"$obsdir/blustate" "$statedir" | grep -q 'snapshot v2' || {
-  echo "ci: restart smoke state dir is not v2" >&2
-  "$obsdir/blustate" "$statedir" >&2; exit 1; }
-"$obsdir/blustate" -to v1 "$statedir" >/dev/null
-"$obsdir/blustate" "$statedir" | grep -q 'snapshot v1' || {
-  echo "ci: blustate -to v1 left a non-v1 snapshot" >&2
-  "$obsdir/blustate" "$statedir" >&2; exit 1; }
-"$obsdir/blud" -addr 127.0.0.1:0 -state "$statedir" \
-  -snapshot-interval 1s -wal-sync 5ms -manifest "$obsdir/blud4_manifest.json" \
-  >"$obsdir/blud4.out" 2>"$obsdir/blud4.err" &
-blud_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's/^blud: listening on //p' "$obsdir/blud4.out")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: migrated blud never reported its address" >&2; cat "$obsdir/blud4.err" >&2; exit 1; }
-grep -Eq ' [1-9][0-9]* v1 artifacts migrated' "$obsdir/blud4.err" || {
-  echo "ci: migrated blud did not log a nonzero v1 artifact count" >&2
-  cat "$obsdir/blud4.err" >&2; exit 1; }
-"$obsdir/bluprobe" -addr "$addr" -path /v1/infer -body "$obsdir/probe.json" \
-  -require-cache hit -require-body-file "$obsdir/prekill.bin"
-kill -TERM "$blud_pid"
-wait "$blud_pid"
-blud_pid=""
-go run ./cmd/blumanifest \
-  -require persist_migrated_total,persist_recovered_total \
-  "$obsdir/blud4_manifest.json"
 
 echo "== fleet smoke =="
 # The multi-cell shard fleet end to end, race-instrumented and truly

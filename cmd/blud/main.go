@@ -27,18 +27,6 @@
 //	-addr a          listen address (default 127.0.0.1:8245; use :0 to
 //	                 pick a free port — the bound address is printed as
 //	                 "blud: listening on ADDR")
-//	-workers n       compute pool size (0 = all cores)
-//	-solver-parallel n  per-inference solver parallelism (default 1;
-//	                 throughput comes from concurrent requests)
-//	-queue n         work-queue depth; beyond it requests get 429 +
-//	                 Retry-After (default 64)
-//	-cache n         infer result-cache entries (default 1024, -1 off)
-//	-sessions n      live observe-session bound; past it the LRU
-//	                 session is evicted (default 256)
-//	-window n        windowed-estimator capacity in sealed epochs
-//	                 (default 64)
-//	-timeout d       default per-request deadline (default 30s)
-//	-max-timeout d   cap on client-supplied timeout_ms (default 2m)
 //	-manifest file   write a JSON run manifest here on shutdown
 //	-pprof addr      serve net/http/pprof on addr
 //	-state dir       durable session state under this directory: every
@@ -49,14 +37,15 @@
 //	                 infers stay warm (DESIGN.md §15). Empty = memory-
 //	                 only.
 //	-snapshot-interval d  periodic snapshot cadence (default 30s;
-//	                 requires -state)
+//	                 must be positive with -state)
 //	-wal-sync d      WAL group-commit fsync interval; a crash loses at
 //	                 most this window of acknowledged observes
-//	                 (default 25ms; requires -state)
+//	                 (default 25ms; must be positive with -state)
 //
-// Flag ranges are validated up front — a zero session bound, a
-// non-positive window, or an unwritable -state directory is a clear
-// startup error, not a latent panic.
+// The state flags are shared with blufleet (serve.BindStateFlags).
+// Everything else — pool size, queue depth, cache and session bounds,
+// window, deadlines — takes the serve.Config defaults. An unusable
+// -state path is a startup error naming the path.
 //
 // SIGTERM or SIGINT triggers a graceful drain: /healthz flips to 503
 // "draining", the listener closes, every accepted request finishes, a
@@ -78,66 +67,31 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "blud:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run starts the daemon from args and serves until ctx is done, then
+// drains.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("blud", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8245", "listen address (use :0 for a free port)")
-	workers := fs.Int("workers", 0, "compute pool size (0 = all cores)")
-	solverPar := fs.Int("solver-parallel", 1, "per-inference solver parallelism")
-	queue := fs.Int("queue", 64, "work-queue depth (full queue answers 429)")
-	cache := fs.Int("cache", 1024, "infer result-cache entries (-1 disables)")
-	sessions := fs.Int("sessions", 256, "live observe-session bound (LRU beyond it)")
-	window := fs.Int("window", 64, "windowed-estimator capacity in sealed epochs")
-	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
-	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client timeout_ms")
-	manifest := fs.String("manifest", "", "write a JSON run manifest to this file on shutdown")
+	cfg := serve.Config{Tool: "blud", Args: args}
+	fs.StringVar(&cfg.ManifestPath, "manifest", "", "write a JSON run manifest to this file on shutdown")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address")
-	stateDir := fs.String("state", "", "durable session state directory (empty = memory-only)")
-	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence (requires -state)")
-	walSync := fs.Duration("wal-sync", 25*time.Millisecond, "WAL group-commit fsync interval (requires -state)")
+	checkState := serve.BindStateFlags(fs, &cfg)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-
-	// Range-check every bound before anything starts: a bad flag is a
-	// one-line startup error naming the flag, never a latent panic or a
-	// daemon that silently cannot hold a session.
-	switch {
-	case *workers < 0:
-		return fmt.Errorf("-workers must be >= 0 (0 = all cores), got %d", *workers)
-	case *solverPar < 0:
-		return fmt.Errorf("-solver-parallel must be >= 0 (0 = all cores), got %d", *solverPar)
-	case *queue < 1:
-		return fmt.Errorf("-queue must be >= 1, got %d", *queue)
-	case *cache < -1:
-		return fmt.Errorf("-cache must be >= -1 (-1 disables), got %d", *cache)
-	case *sessions < 1:
-		return fmt.Errorf("-sessions must be >= 1, got %d", *sessions)
-	case *window < 1:
-		return fmt.Errorf("-window must be >= 1, got %d", *window)
-	case *timeout <= 0:
-		return fmt.Errorf("-timeout must be positive, got %v", *timeout)
-	case *maxTimeout <= 0:
-		return fmt.Errorf("-max-timeout must be positive, got %v", *maxTimeout)
-	}
-	if *stateDir != "" {
-		if *snapInterval <= 0 {
-			return fmt.Errorf("-snapshot-interval must be positive, got %v", *snapInterval)
-		}
-		if *walSync <= 0 {
-			return fmt.Errorf("-wal-sync must be positive, got %v", *walSync)
-		}
-		if err := probeStateDir(*stateDir); err != nil {
-			return err
-		}
+	if err := checkState(); err != nil {
+		return err
 	}
 
 	// The service is the metrics producer; recording is always on so
@@ -151,30 +105,11 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "blud: pprof on %s\n", got)
 	}
 
-	s, recovered, err := serve.NewDurable(serve.Config{
-		Workers:           *workers,
-		SolverParallelism: *solverPar,
-		QueueDepth:        *queue,
-		CacheEntries:      *cache,
-		MaxSessions:       *sessions,
-		WindowEpochs:      *window,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		ManifestPath:      *manifest,
-		StateDir:          *stateDir,
-		SnapshotInterval:  *snapInterval,
-		WALSyncInterval:   *walSync,
-		Tool:              "blud",
-		Args:              args,
-	})
+	s, recovered, err := serve.NewDurable(cfg)
 	if err != nil {
 		return err
 	}
-	if *stateDir != "" {
-		fmt.Fprintf(os.Stderr,
-			"blud: recovered %d snapshot sessions + %d WAL records from %s (%d corrupt dropped, %d v1 artifacts migrated)\n",
-			recovered.SnapshotRecords, recovered.WALReplayed, *stateDir, recovered.CorruptDropped, recovered.Migrated)
-	}
+	serve.LogRecovery(os.Stderr, "blud:", cfg.StateDir, recovered)
 	bound, err := s.Listen(*addr)
 	if err != nil {
 		return err
@@ -183,36 +118,15 @@ func run(args []string) error {
 	// this exact line to learn the bound port.
 	fmt.Printf("blud: listening on %s\n", bound)
 
-	sigch := make(chan os.Signal, 1)
-	signal.Notify(sigch, syscall.SIGTERM, os.Interrupt)
-	sig := <-sigch
-	signal.Stop(sigch)
-	fmt.Fprintf(os.Stderr, "blud: %s, draining\n", sig)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	<-ctx.Done()
+	fmt.Fprintln(os.Stderr, "blud: draining")
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	if err := s.Drain(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	if *manifest != "" {
-		fmt.Fprintf(os.Stderr, "blud: manifest written to %s\n", *manifest)
+	if cfg.ManifestPath != "" {
+		fmt.Fprintf(os.Stderr, "blud: manifest written to %s\n", cfg.ManifestPath)
 	}
 	return nil
-}
-
-// probeStateDir proves the state directory is usable before the server
-// exists: create it if missing and write-delete a probe file, so an
-// unwritable path fails startup with a clear error instead of
-// surfacing later as a failed snapshot mid-drain.
-func probeStateDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("-state %s: %w", dir, err)
-	}
-	probe, err := os.CreateTemp(dir, ".blud-probe-*")
-	if err != nil {
-		return fmt.Errorf("-state %s is not writable: %w", dir, err)
-	}
-	name := probe.Name()
-	probe.Close()
-	return os.Remove(name)
 }

@@ -41,13 +41,15 @@
 //	             under dir/<name>; in shard mode the directory is used
 //	             as-is (kill -9 restarts recover digest-identically)
 //	-exchange d  blueprint-exchange interval (default 2s; 0 disables)
-//	-replicas n  ring vnodes per shard (0 = default 128)
-//	-workers n   per-shard compute pool size (0 = all cores)
-//	-queue n     per-shard work-queue depth (default 64)
 //	-snapshot-interval d  periodic snapshot cadence (default 30s;
-//	             meaningful with -state)
+//	             must be positive with -state)
 //	-wal-sync d  WAL group-commit fsync interval (default 25ms;
-//	             meaningful with -state)
+//	             must be positive with -state)
+//
+// The state flags are shared with blud (serve.BindStateFlags). Shards
+// take the serve.Config defaults for everything else, and every
+// component uses the default ring (128 vnodes per shard), so routers
+// and shards always agree on who owns each cell.
 //
 // Scripted consumers (ci.sh fleet-smoke) parse the exact line
 // "blufleet: router listening on ADDR" (and the shard equivalent) to
@@ -60,7 +62,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -71,13 +72,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "blufleet:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run starts the fleet component that args select and serves until
+// ctx is done, then drains.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("blufleet", flag.ContinueOnError)
 	mode := fs.String("mode", "all", "all | shard | router")
 	cells := fs.Int("cells", 3, "fleet cell count")
@@ -85,13 +90,9 @@ func run(args []string) error {
 	shards := fs.Int("shards", 3, "fleet shard count")
 	addr := fs.String("addr", "127.0.0.1:0", "listen address")
 	name := fs.String("name", "", "this shard's ring identity (shard mode)")
-	stateDir := fs.String("state", "", "durable session state directory")
 	exchange := fs.Duration("exchange", 2*time.Second, "blueprint-exchange interval (0 disables)")
-	replicas := fs.Int("replicas", 0, "ring vnodes per shard (0 = default)")
-	workers := fs.Int("workers", 0, "per-shard compute pool size (0 = all cores)")
-	queue := fs.Int("queue", 64, "per-shard work-queue depth")
-	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence (requires -state)")
-	walSync := fs.Duration("wal-sync", 25*time.Millisecond, "WAL group-commit fsync interval (requires -state)")
+	serveCfg := serve.Config{Tool: "blufleet", Args: args}
+	checkState := serve.BindStateFlags(fs, &serveCfg)
 	peers := map[string]string{}
 	fs.Func("peer", "peer shard as name=url, repeatable (shard mode)", kvInto(peers))
 	shardURLs := map[string]string{}
@@ -109,25 +110,14 @@ func run(args []string) error {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	case *exchange < 0:
 		return fmt.Errorf("-exchange must be >= 0, got %v", *exchange)
-	case *queue < 1:
-		return fmt.Errorf("-queue must be >= 1, got %d", *queue)
-	case *snapInterval <= 0:
-		return fmt.Errorf("-snapshot-interval must be positive, got %v", *snapInterval)
-	case *walSync <= 0:
-		return fmt.Errorf("-wal-sync must be positive, got %v", *walSync)
+	}
+	if err := checkState(); err != nil {
+		return err
 	}
 
 	dir, err := fleet.DefaultDirectory(*cells, *seed)
 	if err != nil {
 		return err
-	}
-	serveCfg := serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		SnapshotInterval: *snapInterval,
-		WALSyncInterval:  *walSync,
-		Tool:             "blufleet",
-		Args:             args,
 	}
 
 	// The fleet is the metrics producer — routed/exchange counters only
@@ -136,11 +126,11 @@ func run(args []string) error {
 
 	switch *mode {
 	case "all":
-		return runAll(dir, *shards, *replicas, *addr, *stateDir, *exchange, serveCfg)
+		return runAll(ctx, dir, *shards, *addr, *exchange, serveCfg)
 	case "shard":
-		return runShard(dir, *name, *shards, *replicas, *addr, *stateDir, *exchange, peers, serveCfg)
+		return runShard(ctx, dir, *name, *shards, *addr, *exchange, peers, serveCfg)
 	case "router":
-		return runRouter(dir, *replicas, *addr, shardURLs)
+		return runRouter(ctx, dir, *addr, shardURLs)
 	default:
 		return fmt.Errorf("-mode must be all, shard, or router, got %q", *mode)
 	}
@@ -158,12 +148,10 @@ func kvInto(dst map[string]string) func(string) error {
 	}
 }
 
-func runAll(dir fleet.Directory, shards, replicas int, addr, stateDir string, exchange time.Duration, serveCfg serve.Config) error {
+func runAll(ctx context.Context, dir fleet.Directory, shards int, addr string, exchange time.Duration, serveCfg serve.Config) error {
 	l, err := fleet.StartLocal(fleet.LocalConfig{
 		Shards:           shards,
 		Directory:        dir,
-		Replicas:         replicas,
-		StateDir:         stateDir,
 		Serve:            serveCfg,
 		ExchangeInterval: exchange,
 		RouterAddr:       addr,
@@ -177,13 +165,12 @@ func runAll(dir fleet.Directory, shards, replicas int, addr, stateDir string, ex
 			strings.Join(sh.OwnedCells(), " "))
 	}
 	fmt.Printf("blufleet: router listening on %s\n", strings.TrimPrefix(l.RouterAddr, "http://"))
-	waitSignal()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	dctx, cancel := drainContext(ctx)
 	defer cancel()
-	return l.Drain(ctx)
+	return l.Drain(dctx)
 }
 
-func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stateDir string, exchange time.Duration, peers map[string]string, serveCfg serve.Config) error {
+func runShard(ctx context.Context, dir fleet.Directory, name string, shards int, addr string, exchange time.Duration, peers map[string]string, serveCfg serve.Config) error {
 	if name == "" {
 		return fmt.Errorf("-mode shard requires -name")
 	}
@@ -191,17 +178,10 @@ func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stat
 	for i := range names {
 		names[i] = fleet.ShardName(i)
 	}
-	if stateDir != "" {
-		if err := os.MkdirAll(filepath.Clean(stateDir), 0o755); err != nil {
-			return fmt.Errorf("-state %s: %w", stateDir, err)
-		}
-		serveCfg.StateDir = stateDir
-	}
 	serveCfg.Tool = "blufleet-shard"
 	sh, recovered, err := fleet.NewShard(fleet.ShardConfig{
 		Name:             name,
 		ShardNames:       names,
-		Replicas:         replicas,
 		Directory:        dir,
 		Peers:            peers,
 		Serve:            serveCfg,
@@ -210,30 +190,24 @@ func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stat
 	if err != nil {
 		return err
 	}
-	if stateDir != "" && recovered != nil {
-		fmt.Fprintf(os.Stderr,
-			"blufleet: shard %s recovered %d snapshot sessions + %d WAL records from %s (%d v1 artifacts migrated)\n",
-			name, recovered.SnapshotRecords, recovered.WALReplayed, stateDir, recovered.Migrated)
-	}
+	serve.LogRecovery(os.Stderr, "blufleet: shard "+name, serveCfg.StateDir, recovered)
 	bound, err := sh.Listen(addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("blufleet: shard %s listening on %s (cells: %s)\n",
 		name, bound, strings.Join(sh.OwnedCells(), " "))
-	waitSignal()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	dctx, cancel := drainContext(ctx)
 	defer cancel()
-	return sh.Drain(ctx)
+	return sh.Drain(dctx)
 }
 
-func runRouter(dir fleet.Directory, replicas int, addr string, shardURLs map[string]string) error {
+func runRouter(ctx context.Context, dir fleet.Directory, addr string, shardURLs map[string]string) error {
 	if len(shardURLs) == 0 {
 		return fmt.Errorf("-mode router requires at least one -shard name=url")
 	}
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Shards:    shardURLs,
-		Replicas:  replicas,
 		Directory: dir,
 	})
 	if err != nil {
@@ -244,16 +218,15 @@ func runRouter(dir fleet.Directory, replicas int, addr string, shardURLs map[str
 		return err
 	}
 	fmt.Printf("blufleet: router listening on %s\n", bound)
-	waitSignal()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	dctx, cancel := drainContext(ctx)
 	defer cancel()
-	return rt.Close(ctx)
+	return rt.Close(dctx)
 }
 
-func waitSignal() {
-	sigch := make(chan os.Signal, 1)
-	signal.Notify(sigch, syscall.SIGTERM, os.Interrupt)
-	sig := <-sigch
-	signal.Stop(sigch)
-	fmt.Fprintf(os.Stderr, "blufleet: %s, draining\n", sig)
+// drainContext waits for ctx to end, then returns the bounded context
+// a graceful drain runs under.
+func drainContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	<-ctx.Done()
+	fmt.Fprintln(os.Stderr, "blufleet: draining")
+	return context.WithTimeout(context.Background(), 30*time.Second)
 }

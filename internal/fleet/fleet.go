@@ -23,11 +23,8 @@ type LocalConfig struct {
 	Directory Directory
 	// Replicas is the ring vnode count (0 = default).
 	Replicas int
-	// StateDir, when set, gives each shard a durable state directory
-	// <StateDir>/<shard-name>.
-	StateDir string
-	// Serve is the per-shard serving config (StateDir is overridden per
-	// shard).
+	// Serve is the per-shard serving config. A set Serve.StateDir is the
+	// fleet's state root: each shard persists under <StateDir>/<name>.
 	Serve serve.Config
 	// ExchangeInterval starts each shard's periodic exchange loop;
 	// zero leaves exchange manual.
@@ -88,8 +85,8 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 			Serve:            cfg.Serve,
 			ExchangeInterval: cfg.ExchangeInterval,
 		}
-		if cfg.StateDir != "" {
-			scfg.Serve.StateDir = filepath.Join(cfg.StateDir, names[i])
+		if cfg.Serve.StateDir != "" {
+			scfg.Serve.StateDir = filepath.Join(cfg.Serve.StateDir, names[i])
 		}
 		sh, _, err := NewShard(scfg)
 		if err != nil {

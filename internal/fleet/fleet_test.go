@@ -335,10 +335,11 @@ func TestFleetKillShardRecovery(t *testing.T) {
 	state := t.TempDir()
 	serveCfg := serve.Config{
 		Workers:          2,
+		StateDir:         state,
 		SnapshotInterval: 50 * time.Millisecond,
 		WALSyncInterval:  time.Millisecond,
 	}
-	l, err := StartLocal(LocalConfig{Shards: 3, Directory: dir, StateDir: state, Serve: serveCfg})
+	l, err := StartLocal(LocalConfig{Shards: 3, Directory: dir, Serve: serveCfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,19 +49,17 @@ var (
 	obsSnapshots  = obs.GetCounter("persist_snapshots_total")
 	obsWALAppends = obs.GetCounter("persist_wal_appends_total")
 	obsWALSyncs   = obs.GetCounter("persist_wal_syncs_total")
-	// obsMigrated counts v1-format artifacts (snapshot image, WAL
-	// segments) a v2 daemon read in place — the observable trace of a
-	// cross-version state upgrade. New writes are always current-format,
-	// so the count returns to zero once a snapshot cycle rewrites the
-	// directory.
-	obsMigrated = obs.GetCounter("persist_migrated_total")
 )
+
+// DefaultSyncInterval is the group-commit period an unset
+// Options.SyncInterval selects.
+const DefaultSyncInterval = 25 * time.Millisecond
 
 // Options tune the group-commit window.
 type Options struct {
 	// SyncInterval is the group-commit period: how long an acknowledged
 	// append may sit in memory before the syncer makes it durable.
-	// Default 25ms.
+	// Default DefaultSyncInterval.
 	SyncInterval time.Duration
 	// MaxPending bounds the unsynced in-flight window: an append that
 	// would leave more than MaxPending records buffered flushes inline
@@ -71,7 +69,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.SyncInterval <= 0 {
-		o.SyncInterval = 25 * time.Millisecond
+		o.SyncInterval = DefaultSyncInterval
 	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = 256
@@ -84,7 +82,6 @@ type RecoverStats struct {
 	SnapshotRecords int    // snapshot records successfully restored
 	WALReplayed     int    // WAL records successfully replayed
 	CorruptDropped  int    // records and damage events skipped
-	Migrated        int    // v1-format artifacts read by this v2 daemon
 	Cut             uint64 // the loaded snapshot's WAL cut (0 = none)
 	NextLSN         uint64 // first LSN the reopened store will assign
 }
@@ -124,7 +121,7 @@ type Store struct {
 func Open(dir string, opts Options, restore func(record []byte) error, replay func(lsn uint64, payload []byte) error) (*Store, *RecoverStats, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("persist: state dir: %w", err)
+		return nil, nil, fmt.Errorf("persist: state dir %s: %w", dir, err)
 	}
 	stats := &RecoverStats{}
 
@@ -139,9 +136,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	if snap != nil {
 		stats.Cut = snap.cut
 		stats.CorruptDropped += snap.skipped
-		if snap.legacy {
-			stats.Migrated++
-		}
 		for _, rec := range snap.records {
 			if restore == nil {
 				continue
@@ -154,7 +148,7 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 		}
 	}
 
-	replayed, skipped, legacySegs, walNext, err := replayWAL(dir, stats.Cut, func(lsn uint64, payload []byte) error {
+	replayed, skipped, walNext, err := replayWAL(dir, stats.Cut, func(lsn uint64, payload []byte) error {
 		if replay == nil {
 			return nil
 		}
@@ -165,7 +159,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	}
 	stats.WALReplayed = replayed
 	stats.CorruptDropped += skipped
-	stats.Migrated += legacySegs
 
 	next := walNext
 	if stats.Cut > next {
@@ -194,7 +187,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	if obs.Enabled() {
 		obsRecovered.Add(int64(stats.SnapshotRecords + stats.WALReplayed))
 		obsCorrupt.Add(int64(stats.CorruptDropped))
-		obsMigrated.Add(int64(stats.Migrated))
 	}
 	return s, stats, nil
 }

@@ -3,7 +3,7 @@
 // session plus the WAL cut — the LSN from which replay must resume for
 // the pair (snapshot, WAL) to equal the never-restarted state.
 //
-// v2 file layout (all multi-byte fields little-endian):
+// File layout (all multi-byte fields little-endian):
 //
 //	[4]byte magic "BLUS"
 //	u32    version (2)
@@ -11,24 +11,15 @@
 //	u32    record count
 //	records:
 //	  u32  len, len payload bytes
-//	  u16  tlvLen, tlvLen TLV tail bytes (see below)
-//	  u32  crc32-IEEE(payload ++ TLV tail)
+//	  u16  reserved, always 0
+//	  u32  crc32-IEEE(payload)
 //	footer:
 //	  u32  crc32-IEEE over every preceding byte
 //	  [4]byte magic "SULB"
 //
-// The per-record TLV tail is the format's extension point: a sequence
-// of (u8 type, u16 len, len bytes) entries. The current writer emits an
-// empty tail; a reader skips entry types it does not know, so a future
-// writer can attach per-record metadata (provenance, schema hints,
-// compression flags) without another container version bump. The tail
-// is covered by the record CRC, so extensions inherit the same
-// corruption detection as the payload.
-//
-// v1 files (the pre-versioning format: identical layout minus the TLV
-// tail) are still read in full — a v2 daemon opens v1 state in place
-// and counts the migration on persist_migrated_total; the next snapshot
-// rewrite emits v2.
+// There is one format: an image whose header names any other version
+// is unusable and none of its records are restored. A nonzero reserved
+// field is read as a lost record boundary, like an impossible length.
 //
 // The image is written tmp-file + fsync + rename + dir-fsync, so a
 // reader only ever sees the previous complete snapshot or the new one.
@@ -48,15 +39,10 @@ import (
 )
 
 const (
-	snapshotVersionV1 = 1
-	snapshotVersion   = 2 // written by encodeSnapshot
+	snapshotVersion   = 2
 	snapshotHeaderLen = 16 // magic(4) + version(4) + cut(8) ... count follows
 	snapshotFooterLen = 8  // crc(4) + magic(4)
-
-	// maxTLVLen caps a declared per-record TLV tail, mirroring
-	// maxRecordLen's job: a corrupt length field must not drive a huge
-	// allocation or swallow the file.
-	maxTLVLen = 1 << 12
+	snapshotFrameLen  = 10 // len(4) + reserved(2) + crc(4)
 
 	// SnapshotFile is the image's name inside the state directory.
 	SnapshotFile = "state.blus"
@@ -67,30 +53,11 @@ var (
 	snapFooterMagic = [4]byte{'S', 'U', 'L', 'B'}
 )
 
-// validTLV reports whether b parses as a well-formed sequence of
-// (u8 type, u16 len, bytes) entries. Unknown types are fine — the tail
-// exists so future writers can add them — but broken framing marks the
-// record untrustworthy.
-func validTLV(b []byte) bool {
-	off := 0
-	for off < len(b) {
-		if len(b)-off < 3 {
-			return false
-		}
-		l := int(binary.LittleEndian.Uint16(b[off+1:]))
-		off += 3 + l
-		if off > len(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// encodeSnapshot renders a complete v2 BLUS image.
+// encodeSnapshot renders a complete BLUS image.
 func encodeSnapshot(cut uint64, records [][]byte) []byte {
 	size := snapshotHeaderLen + 4 + snapshotFooterLen
 	for _, r := range records {
-		size += 10 + len(r)
+		size += snapshotFrameLen + len(r)
 	}
 	b := make([]byte, 0, size)
 	b = append(b, snapMagic[:]...)
@@ -100,7 +67,7 @@ func encodeSnapshot(cut uint64, records [][]byte) []byte {
 	for _, r := range records {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r)))
 		b = append(b, r...)
-		b = binary.LittleEndian.AppendUint16(b, 0) // empty TLV tail
+		b = binary.LittleEndian.AppendUint16(b, 0) // reserved
 		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(r))
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
@@ -112,11 +79,10 @@ func encodeSnapshot(cut uint64, records [][]byte) []byte {
 type snapshotScan struct {
 	cut     uint64
 	records [][]byte
-	skipped int  // per-record CRC failures and lost tails, counted
-	legacy  bool // the image was a v1 file (migration accounting)
+	skipped int // per-record CRC failures and lost tails, counted
 }
 
-// decodeSnapshot parses a BLUS image (v1 or v2), salvaging every record
+// decodeSnapshot parses a BLUS image, salvaging every record
 // whose own CRC verifies. It returns an error only when the header is
 // unusable (wrong magic, unknown version, too short) — then there is no
 // snapshot to speak of; any lesser damage is reported through skipped
@@ -129,13 +95,10 @@ func decodeSnapshot(data []byte) (*snapshotScan, error) {
 		return nil, fmt.Errorf("persist: snapshot has bad magic %q", data[:4])
 	}
 	version := binary.LittleEndian.Uint32(data[4:])
-	if version != snapshotVersionV1 && version != snapshotVersion {
-		return nil, fmt.Errorf("persist: snapshot version %d, want %d or %d", version, snapshotVersionV1, snapshotVersion)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("persist: snapshot version %d, want %d", version, snapshotVersion)
 	}
-	sc := &snapshotScan{
-		cut:    binary.LittleEndian.Uint64(data[8:]),
-		legacy: version == snapshotVersionV1,
-	}
+	sc := &snapshotScan{cut: binary.LittleEndian.Uint64(data[8:])}
 	count := binary.LittleEndian.Uint32(data[16:])
 
 	body := data
@@ -147,42 +110,26 @@ func decodeSnapshot(data []byte) (*snapshotScan, error) {
 		footerOK = fileCRC == crc32.ChecksumIEEE(body)
 	}
 
-	// Fixed per-record overhead beyond the payload: v1 frames carry
-	// len(4)+crc(4); v2 adds the TLV length prefix (2).
-	overhead := 10
-	if sc.legacy {
-		overhead = 8
-	}
 	off := snapshotHeaderLen + 4
 	for i := uint32(0); i < count; i++ {
-		if len(body)-off < overhead {
+		if len(body)-off < snapshotFrameLen {
 			sc.skipped += int(count - i) // torn tail: the rest never made it
 			return sc, nil
 		}
 		plen := binary.LittleEndian.Uint32(body[off:])
-		if plen > maxRecordLen || int(plen) > len(body)-off-overhead {
+		if plen > maxRecordLen || int(plen) > len(body)-off-snapshotFrameLen {
 			sc.skipped += int(count - i) // boundary lost
 			return sc, nil
 		}
-		payload := body[off+4 : off+4+int(plen)]
-		var tlv []byte
 		end := off + 4 + int(plen)
-		if !sc.legacy {
-			tlvLen := int(binary.LittleEndian.Uint16(body[end:]))
-			if tlvLen > maxTLVLen || tlvLen > len(body)-end-6 {
-				sc.skipped += int(count - i) // TLV boundary lost
-				return sc, nil
-			}
-			tlv = body[end+2 : end+2+tlvLen]
-			end += 2 + tlvLen
+		if binary.LittleEndian.Uint16(body[end:]) != 0 {
+			sc.skipped += int(count - i) // reserved field set: boundary lost
+			return sc, nil
 		}
-		gotCRC := binary.LittleEndian.Uint32(body[end:])
-		off = end + 4
-		wantCRC := crc32.ChecksumIEEE(payload)
-		if len(tlv) > 0 {
-			wantCRC = crc32.Update(wantCRC, crc32.IEEETable, tlv)
-		}
-		if gotCRC != wantCRC || !validTLV(tlv) {
+		payload := body[off+4 : end]
+		gotCRC := binary.LittleEndian.Uint32(body[end+2:])
+		off = end + 6 // reserved(2) + crc(4)
+		if gotCRC != crc32.ChecksumIEEE(payload) {
 			sc.skipped++
 			continue
 		}

@@ -5,7 +5,7 @@
 // where a torn write, truncation, or bit flip starts and skip exactly
 // the damaged records — never a prefix of one.
 //
-// v2 segment layout (all multi-byte fields little-endian):
+// Segment layout (all multi-byte fields little-endian):
 //
 //	[4]byte magic "BLUL"
 //	u32    version (2)
@@ -14,16 +14,15 @@
 //	  u32  len (payload bytes)
 //	  u64  lsn
 //	  ...  payload (exactly len bytes)
-//	  u16  tlvLen, tlvLen TLV tail bytes
-//	  u32  crc32-IEEE over lsn (8 LE bytes) ++ payload ++ TLV tail
+//	  u16  reserved, always 0
+//	  u32  crc32-IEEE over lsn (8 LE bytes) ++ payload
 //
-// The per-record TLV tail — a sequence of (u8 type, u16 len, bytes)
-// entries, empty in the current writer — is the extension point: a
-// future writer can attach per-record metadata without a container
-// version bump, and readers skip entry types they do not know. v1
-// segments (the same layout minus the TLV tail) are still replayed in
-// full; reading one counts on persist_migrated_total, and every newly
-// opened segment is v2 (read-old/write-new migration).
+// There is one format. A header carrying any other version is damage:
+// the segment's records are never delivered and the break is counted on
+// persist_corrupt_dropped_total. The reserved field is part of the
+// framing, not an extension point; a nonzero value means record
+// boundaries can no longer be trusted, exactly like an impossible
+// payload length.
 //
 // LSNs are strictly sequential within the stream: the first record's
 // LSN equals the header's firstLSN and each record increments by one,
@@ -47,13 +46,9 @@ import (
 )
 
 const (
-	walVersionV1 = 1
-	walVersion   = 2 // written by appendWALHeader
+	walVersion   = 2
 	walHeaderLen = 16 // magic(4) + version(4) + firstLSN(8)
-
-	// Fixed per-record overhead beyond the payload, per format version.
-	walFrameLenV1 = 16 // len(4) + lsn(8) + crc(4)
-	walFrameLen   = 18 // len(4) + lsn(8) + tlvLen(2) + crc(4)
+	walFrameLen  = 18 // len(4) + lsn(8) + reserved(2) + crc(4)
 
 	// maxRecordLen caps a declared payload length, mirroring the serve
 	// layer's body cap so a corrupt length field cannot drive a huge
@@ -82,18 +77,20 @@ func parseSegmentName(name string) (uint64, bool) {
 	return lsn, true
 }
 
-// walRecordCRC checksums what the record protects: the LSN, the
-// payload, and (v2) the TLV tail — the length fields are implied by the
-// framing scan. Pass a nil tail for v1 records.
-func walRecordCRC(lsn uint64, payload, tlv []byte) uint32 {
+// walRecordCRC checksums what a record protects: the LSN followed by
+// the payload bytes — the length fields are implied by the framing
+// scan.
+func walRecordCRC(lsn uint64, data ...[]byte) uint32 {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], lsn)
 	c := crc32.Update(0, crc32.IEEETable, hdr[:])
-	c = crc32.Update(c, crc32.IEEETable, payload)
-	return crc32.Update(c, crc32.IEEETable, tlv)
+	for _, d := range data {
+		c = crc32.Update(c, crc32.IEEETable, d)
+	}
+	return c
 }
 
-// appendWALHeader writes a fresh v2 segment header.
+// appendWALHeader writes a fresh segment header.
 func appendWALHeader(b []byte, firstLSN uint64) []byte {
 	b = append(b, walMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, walVersion)
@@ -101,13 +98,13 @@ func appendWALHeader(b []byte, firstLSN uint64) []byte {
 	return b
 }
 
-// appendWALRecord frames one v2 record (empty TLV tail) onto b.
+// appendWALRecord frames one record onto b.
 func appendWALRecord(b []byte, lsn uint64, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint16(b, 0) // empty TLV tail
-	b = binary.LittleEndian.AppendUint32(b, walRecordCRC(lsn, payload, nil))
+	b = binary.LittleEndian.AppendUint16(b, 0) // reserved
+	b = binary.LittleEndian.AppendUint32(b, walRecordCRC(lsn, payload))
 	return b
 }
 
@@ -116,31 +113,20 @@ type segmentScan struct {
 	replayed int  // records delivered to the callback
 	skipped  int  // CRC-corrupt records skipped in place
 	tailLost bool // framing broke: the rest of the stream is untrusted
-	legacy   bool // the segment was a v1 file (migration accounting)
 	nextLSN  uint64
 }
 
-// scanSegment replays one segment image (v1 or v2, per its header).
-// expect is the LSN the stream requires the first record to carry (0
-// means "take the header's word", for the first segment). Records with
-// lsn < cut were already folded into the snapshot and are passed over
-// silently. fn errors are counted as skips — a CRC-valid record the
+// scanSegment replays one segment image. expect is the LSN the stream
+// requires the first record to carry (0 means "take the header's word",
+// for the first segment). Records with lsn < cut were already folded
+// into the snapshot and are passed over silently. fn errors are counted as skips — a CRC-valid record the
 // caller cannot apply is dropped whole, never half-applied.
 func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []byte) error) segmentScan {
 	sc := segmentScan{nextLSN: expect}
-	if len(data) < walHeaderLen || [4]byte(data[:4]) != walMagic {
+	if len(data) < walHeaderLen || [4]byte(data[:4]) != walMagic ||
+		binary.LittleEndian.Uint32(data[4:]) != walVersion {
 		sc.tailLost = true
 		return sc
-	}
-	version := binary.LittleEndian.Uint32(data[4:])
-	if version != walVersionV1 && version != walVersion {
-		sc.tailLost = true
-		return sc
-	}
-	sc.legacy = version == walVersionV1
-	frameLen := walFrameLen
-	if sc.legacy {
-		frameLen = walFrameLenV1
 	}
 	first := binary.LittleEndian.Uint64(data[8:])
 	if expect != 0 && first != expect {
@@ -152,12 +138,12 @@ func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []
 	lsn := first
 	off := walHeaderLen
 	for off < len(data) {
-		if len(data)-off < frameLen {
+		if len(data)-off < walFrameLen {
 			sc.tailLost = true // torn mid-frame
 			break
 		}
 		plen := binary.LittleEndian.Uint32(data[off:])
-		if plen > maxRecordLen || int(plen) > len(data)-off-frameLen {
+		if plen > maxRecordLen || int(plen) > len(data)-off-walFrameLen {
 			sc.tailLost = true // length field unusable: boundary lost
 			break
 		}
@@ -166,21 +152,15 @@ func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []
 			sc.tailLost = true // sequencing broken: boundary untrusted
 			break
 		}
-		payload := data[off+12 : off+12+int(plen)]
-		var tlv []byte
 		end := off + 12 + int(plen)
-		if !sc.legacy {
-			tlvLen := int(binary.LittleEndian.Uint16(data[end:]))
-			if tlvLen > maxTLVLen || tlvLen > len(data)-end-6 {
-				sc.tailLost = true // TLV boundary lost
-				break
-			}
-			tlv = data[end+2 : end+2+tlvLen]
-			end += 2 + tlvLen
+		if binary.LittleEndian.Uint16(data[end:]) != 0 {
+			sc.tailLost = true // reserved field set: boundary untrusted
+			break
 		}
-		gotCRC := binary.LittleEndian.Uint32(data[end:])
-		off = end + 4
-		if gotCRC != walRecordCRC(recLSN, payload, tlv) || !validTLV(tlv) {
+		payload := data[off+12 : end]
+		gotCRC := binary.LittleEndian.Uint32(data[end+2:])
+		off = end + 6 // reserved(2) + crc(4)
+		if gotCRC != walRecordCRC(recLSN, payload) {
 			sc.skipped++ // payload corrupt, but framing intact: skip this one
 		} else if recLSN >= cut {
 			if err := fn(recLSN, payload); err != nil {
@@ -218,13 +198,12 @@ func walSegments(dir string) ([]uint64, error) {
 // in LSN order. Segments whose whole range lies below the cut (their
 // successor starts at or before it) are passed over unread, so a
 // corrupt-but-superseded old segment cannot poison recovery of live
-// records. Returns the scan totals, the count of v1-format segments
-// read (migration accounting), and the next LSN the stream would
+// records. Returns the scan totals and the next LSN the stream would
 // assign.
-func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error) (replayed, skipped, legacy int, nextLSN uint64, err error) {
+func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error) (replayed, skipped int, nextLSN uint64, err error) {
 	firsts, err := walSegments(dir)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	expect := uint64(0)
 	for i, first := range firsts {
@@ -233,14 +212,11 @@ func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error
 		}
 		data, rerr := os.ReadFile(filepath.Join(dir, segmentName(first)))
 		if rerr != nil {
-			return replayed, skipped, legacy, nextLSN, rerr
+			return replayed, skipped, nextLSN, rerr
 		}
 		sc := scanSegment(data, expect, cut, fn)
 		replayed += sc.replayed
 		skipped += sc.skipped
-		if sc.legacy {
-			legacy++
-		}
 		if sc.nextLSN > nextLSN {
 			nextLSN = sc.nextLSN
 		}
@@ -250,7 +226,7 @@ func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error
 		}
 		expect = sc.nextLSN
 	}
-	return replayed, skipped, legacy, nextLSN, nil
+	return replayed, skipped, nextLSN, nil
 }
 
 // pruneWAL deletes segments made redundant by a snapshot at cut: a

@@ -23,7 +23,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"time"
 
 	"blu/internal/access"
@@ -35,8 +37,44 @@ import (
 // independently of the BLUS container version.
 const sessionRecordVersion = 1
 
+// defaultSnapshotInterval is the snapshot cadence an unset
+// Config.SnapshotInterval selects.
+const defaultSnapshotInterval = 30 * time.Second
+
 // RecoverStats re-exports the persist recovery totals.
 type RecoverStats = persist.RecoverStats
+
+// BindStateFlags registers the durability flags every serving daemon
+// shares — -state, -snapshot-interval and -wal-sync — on fs, writing
+// into c. Call the returned check after fs.Parse: the intervals must be
+// positive when -state is set, and are ignored otherwise.
+func BindStateFlags(fs *flag.FlagSet, c *Config) (check func() error) {
+	fs.StringVar(&c.StateDir, "state", "", "durable session state directory (empty = memory-only)")
+	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", defaultSnapshotInterval, "periodic snapshot cadence (requires -state)")
+	fs.DurationVar(&c.WALSyncInterval, "wal-sync", persist.DefaultSyncInterval, "WAL group-commit fsync interval (requires -state)")
+	return func() error {
+		switch {
+		case c.StateDir == "":
+			return nil
+		case c.SnapshotInterval <= 0:
+			return fmt.Errorf("-snapshot-interval must be positive, got %v", c.SnapshotInterval)
+		case c.WALSyncInterval <= 0:
+			return fmt.Errorf("-wal-sync must be positive, got %v", c.WALSyncInterval)
+		}
+		return nil
+	}
+}
+
+// LogRecovery writes a durable server's recovery line to w, starting
+// with prefix; a memory-only server (empty dir) recovered nothing and
+// writes none. Scripts match the line by its prefix.
+func LogRecovery(w io.Writer, prefix, dir string, r *RecoverStats) {
+	if dir == "" {
+		return
+	}
+	fmt.Fprintf(w, "%s recovered %d snapshot sessions + %d WAL records from %s (%d corrupt dropped)\n",
+		prefix, r.SnapshotRecords, r.WALReplayed, dir, r.CorruptDropped)
+}
 
 // NewDurable builds a Server like New and, when cfg.StateDir is set,
 // opens the durability layer under it: recover (restore the snapshot

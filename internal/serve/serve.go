@@ -150,7 +150,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 2 * time.Minute
 	}
 	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = 30 * time.Second
+		c.SnapshotInterval = defaultSnapshotInterval
 	}
 	if c.Tool == "" {
 		c.Tool = "blud"
