@@ -53,17 +53,15 @@ echo "== kernel smoke =="
 # steady state and byte-identical across cache bounds and parallelism:
 # re-run the AllocsPerRun ceilings and the golden trace tests for both
 # kernels — cold inference and the warm-started §3.7 refresh repair —
-# plus the binary-codec ceilings, then a short blubench
-# scheduler+codec+warm-start run whose BENCH JSON must pass
-# blumanifest's schema check (parse, invariants, round-trip) with all
-# scheduler, codec, warm-start, and observe entries and nonzero
-# cache-hit counters present.
+# then a short blubench scheduler+codec+warm-start run whose BENCH
+# JSON must pass blumanifest's schema check (parse, invariants,
+# round-trip) with all scheduler, codec, warm-start, and observe
+# entries and nonzero cache-hit counters present.
 go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance' ./internal/sched/
 go test $short -run 'TestInferAllocCeiling|TestInferTraceGolden|TestDeltaSpecializationsExact|TestWarmStart' ./internal/blueprint/
-go test $short -run 'TestCodecAllocCeiling|TestBinaryCodec' ./internal/serve/
 go run ./cmd/blubench -sched -o "$obsdir/bench_sched.json" >/dev/null
 go run ./cmd/blumanifest -bench \
-  -require-entry Schedule/PF,Schedule/AA,Schedule/BLU,Codec/JSON,Codec/Binary,Infer/WarmStartCold,Infer/WarmStart,Serve/Observe \
+  -require-entry Schedule/PF,Schedule/AA,Schedule/BLU,Codec/JSON,Infer/WarmStartCold,Infer/WarmStart,Serve/Observe \
   -require sched_blu_cache_hit_total,sched_joint_cache_hit_total,sched_blu_scratch_reuse_total \
   "$obsdir/bench_sched.json"
 
@@ -87,11 +85,18 @@ echo "== persist smoke =="
 # append races), the kill-and-restore equivalence test, and the seed
 # corpora of the persist decoders plus the window export/import
 # fuzzer — decoders that eat arbitrary disk bytes must prove they
-# never panic before anything below trusts a restart.
+# never panic before anything below trusts a restart. Then every
+# on-disk decoder gets a short time-boxed fuzz run past its seeds:
+# the WAL and snapshot containers, the WAL observe record, and the
+# snapshot/handoff session record.
 go test -race -run 'TestRecovery|TestKillRestore|TestRestore|TestSnapshot|TestCrash|TestRotate|TestAbort' \
   ./internal/persist/ ./internal/serve/
 go test -run 'FuzzDecodeSnapshot|FuzzScanSegment' ./internal/persist/
 go test -run 'FuzzWindowExportImport' ./internal/access/
+go test -run '^$' -fuzz '^FuzzScanSegment$' -fuzztime 10s ./internal/persist/
+go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/persist/
+go test -run '^$' -fuzz '^FuzzObserveWire$' -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzRestoreSessionRecord$' -fuzztime 10s ./internal/serve/
 
 echo "== serve smoke =="
 # The serving layer end to end, race-instrumented: start blud on a
@@ -128,16 +133,7 @@ go run ./cmd/blumanifest -bench \
   -require-entry Serve/infer,Serve/joint,Serve/schedule \
   -require serve_requests_total,serve_cache_hit_total \
   "$obsdir/bench_serve.json"
-# A second, binary-codec run against the same daemon: the infer stream
-# switches to the length-prefixed frames (request and response), which
-# must negotiate cleanly under race instrumentation and show up in the
-# daemon's serve_binary_total counter.
-"$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 120 -codec binary -o "$obsdir/bench_serve_bin.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer \
-  -require serve_requests_total,serve_binary_total \
-  "$obsdir/bench_serve_bin.json"
-# A third run drives the streaming refresh loop: observe batches fold
+# A second run drives the streaming refresh loop: observe batches fold
 # into session windows while session-keyed infers solve from the live
 # estimate, so the digest-delta invalidation path must fire for real —
 # nonzero serve_observe_total and serve_invalidation_total prove

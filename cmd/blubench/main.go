@@ -9,7 +9,7 @@
 //
 //	blubench [-o BENCH_baseline.json] [-sched] [-metrics file] [-pprof addr]
 //
-// With -sched only the scheduler, wire-codec, warm-start, and
+// With -sched only the scheduler, JSON codec, warm-start, and
 // /v1/observe sections run — a seconds-scale subset CI uses as its
 // kernel-smoke gate (the full inference sweep takes minutes). The determinism test suite
 // guarantees every parallelism setting returns the identical topology,
@@ -162,9 +162,7 @@ func run(args []string) error {
 	if err := recordSchedulers(record); err != nil {
 		return err
 	}
-	if err := recordCodecs(record); err != nil {
-		return err
-	}
+	recordCodec(record)
 	if err := recordWarmStart(record, base); err != nil {
 		return err
 	}
@@ -254,13 +252,12 @@ func recordSchedulers(record func(string, func(int) error) obs.BenchEntry) error
 	return nil
 }
 
-// recordCodecs measures the infer endpoint's wire tax for each codec:
-// one op is a full codec round trip — encode request, decode request,
-// encode response, decode response — on a 16-client payload with a
-// dense pair list, the shape bluload drives at the daemon. The
-// Codec/JSON vs Codec/Binary ratio is the serialization share a binary
-// client saves; it runs in the -sched fast section so CI tracks it.
-func recordCodecs(record func(string, func(int) error) obs.BenchEntry) error {
+// recordCodec measures the infer endpoint's JSON wire tax: one op is a
+// full codec round trip — encode request, decode request, encode
+// response, decode response — on a 16-client payload with a dense pair
+// list, the shape bluload drives at the daemon. It runs in the -sched
+// fast section so CI tracks it.
+func recordCodec(record func(string, func(int) error) obs.BenchEntry) {
 	truth := randomTopo(16, 8, 11)
 	mw := serve.MeasurementsWire{N: truth.N, P: make([]float64, truth.N)}
 	for i := 0; i < truth.N; i++ {
@@ -295,22 +292,6 @@ func recordCodecs(record func(string, func(int) error) obs.BenchEntry) error {
 		var p serve.InferResponse
 		return json.Unmarshal(respBody, &p)
 	})
-	record("Codec/Binary", func(int) error {
-		reqBody, err := serve.EncodeInferRequest(req)
-		if err != nil {
-			return err
-		}
-		if _, err := serve.DecodeInferRequest(reqBody); err != nil {
-			return err
-		}
-		respBody, err := serve.EncodeInferResponse(resp)
-		if err != nil {
-			return err
-		}
-		_, err = serve.DecodeInferResponse(respBody)
-		return err
-	})
-	return nil
 }
 
 // recordWarmStart measures the §3.7 refresh economics: the same

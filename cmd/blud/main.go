@@ -11,12 +11,9 @@
 // blueprint, and its cached result is invalidated exactly when the
 // session's measurement digest moves.
 //
-// The infer and observe endpoints also speak a compact length-prefixed
-// binary codec: send the request with
-// "Content-Type: application/x-blu-binary" and/or ask for a binary
-// response via the Accept header (see internal/serve/codec.go for the
-// frame spec; bluload -codec binary drives it). Errors are always
-// JSON.
+// Request and response bodies are JSON, errors included. The only
+// binary format is on disk: with -state, each observe batch is logged
+// as one length-prefixed frame (internal/serve/codec.go).
 //
 // Usage:
 //

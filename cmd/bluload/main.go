@@ -36,13 +36,6 @@
 //	             with the fleet without shared files. Report entries are
 //	             named Fleet/* and the embedded /metrics snapshot is the
 //	             router's fleet-wide aggregate.
-//	-codec c     infer wire codec: json (default) or binary — binary
-//	             sends serve's length-prefixed frames and asks for them
-//	             back via Accept, so comparing the two runs isolates
-//	             the JSON tax (joint/schedule stay JSON either way). In
-//	             the observe mix, binary applies to the observe frames;
-//	             session infers stay JSON so the cache/invalidation
-//	             path is driven identically under both codecs.
 //	-o file      write an obs.BenchReport JSON (entries Serve/infer,
 //	             Serve/joint, Serve/schedule, and Serve/observe in the
 //	             observe mix; the server's /metrics snapshot is
@@ -114,11 +107,8 @@ type payloadPool struct {
 	// cellQ, when populated for an endpoint, aligns with byEndpoint and
 	// carries each payload's routing query ("?cell=<id>") for fleet runs.
 	cellQ [numEndpoints][]string
-	// binaryEp marks endpoints whose bodies are binary frames, so the
-	// worker sets the matching Content-Type/Accept headers.
-	binaryEp [numEndpoints]bool
-	mix      string
-	fleet    bool
+	mix   string
+	fleet bool
 	// seedObserve holds one observe batch per session, posted
 	// synchronously before the measurement window so every session a
 	// worker's infer names already exists; seedQ aligns with it in fleet
@@ -148,15 +138,10 @@ func (p *payloadPool) query(ep, k int) string {
 // buildPool synthesizes the corpus from seed alone. Topologies are
 // random hidden-terminal layouts; infer measurements are the analytic
 // access distributions of a truth topology, so every infer request is
-// a well-posed instance the solver can actually invert. With
-// binaryInfer the infer bodies are serve's binary frames instead of
-// JSON — the same requests byte-for-byte after decoding, so the two
-// codecs hit identical cache/coalescing keys on the server.
-func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
+// a well-posed instance the solver can actually invert.
+func buildPool(seed uint64, mix string) *payloadPool {
 	r := rng.New(seed).Split("payloads")
 	pool := &payloadPool{mix: mix}
-	pool.binaryEp[epInfer] = binaryInfer && mix != "observe"
-	pool.binaryEp[epObserve] = binaryInfer
 	const inferPayloads, jointPayloads, schedPayloads = 8, 16, 16
 
 	randTopo := func(r *rng.Source) *blueprint.Topology {
@@ -186,16 +171,10 @@ func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
 				mw.Pairs = append(mw.Pairs, serve.PairProb{I: i, J: j, P: topo.PairProb(i, j)})
 			}
 		}
-		req := serve.InferRequest{
+		body, _ := json.Marshal(serve.InferRequest{
 			Measurements: mw,
 			Options:      serve.InferOptionsWire{Seed: ri.Uint64()},
-		}
-		var body []byte
-		if binaryInfer {
-			body, _ = serve.EncodeInferRequest(&req)
-		} else {
-			body, _ = json.Marshal(req)
-		}
+		})
 		pool.byEndpoint[epInfer] = append(pool.byEndpoint[epInfer], body)
 	}
 
@@ -232,8 +211,7 @@ func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
 		pool.byEndpoint[epSchedule] = append(pool.byEndpoint[epSchedule], body)
 	}
 
-	// Observe mix: the infer pool becomes session-keyed infers (always
-	// JSON — the binary codec flag moves to the observe frames) and an
+	// Observe mix: the infer pool becomes session-keyed infers and an
 	// observe pool feeds those sessions. Every body for one session
 	// shares its client count, or the daemon would answer 409.
 	if mix == "observe" {
@@ -265,12 +243,7 @@ func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
 				}
 				req.Observations = append(req.Observations, ob)
 			}
-			var body []byte
-			if binaryInfer {
-				body, _ = serve.EncodeObserveRequest(&req)
-			} else {
-				body, _ = json.Marshal(req)
-			}
+			body, _ := json.Marshal(req)
 			pool.byEndpoint[epObserve] = append(pool.byEndpoint[epObserve], body)
 			if k < len(sessions) {
 				pool.seedObserve = append(pool.seedObserve, body)
@@ -317,10 +290,9 @@ func (p *payloadPool) pick(idx int64) (int, []byte, string) {
 // joint and schedule payloads cycled across cells. Every payload
 // carries its routing query, so the whole mix flows through a blufleet
 // router's proxy path.
-func buildFleetPool(seed uint64, dir fleet.Directory, binaryObserve bool) *payloadPool {
+func buildFleetPool(seed uint64, dir fleet.Directory) *payloadPool {
 	r := rng.New(seed).Split("fleet-payloads")
 	pool := &payloadPool{mix: "observe", fleet: true}
-	pool.binaryEp[epObserve] = binaryObserve
 
 	randTopo := func(r *rng.Source, n int) *blueprint.Topology {
 		topo := &blueprint.Topology{N: n}
@@ -363,12 +335,7 @@ func buildFleetPool(seed uint64, dir fleet.Directory, binaryObserve bool) *paylo
 				}
 				req.Observations = append(req.Observations, ob)
 			}
-			var body []byte
-			if binaryObserve {
-				body, _ = serve.EncodeObserveRequest(&req)
-			} else {
-				body, _ = json.Marshal(req)
-			}
+			body, _ := json.Marshal(req)
 			pool.byEndpoint[epObserve] = append(pool.byEndpoint[epObserve], body)
 			pool.cellQ[epObserve] = append(pool.cellQ[epObserve], q)
 			if k == 0 {
@@ -473,7 +440,6 @@ func run(args []string) error {
 	qps := fs.Float64("qps", 0, "paced request rate (0 = unpaced)")
 	mix := fs.String("mix", "default", "traffic mix: default or observe")
 	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a blufleet router (0 = single daemon)")
-	codec := fs.String("codec", "json", "infer wire codec: json or binary")
 	out := fs.String("o", "", "write an obs.BenchReport JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -484,16 +450,12 @@ func run(args []string) error {
 	if *conc < 1 {
 		return fmt.Errorf("-c must be positive")
 	}
-	if *codec != "json" && *codec != "binary" {
-		return fmt.Errorf("-codec must be json or binary, got %q", *codec)
-	}
 	if *mix != "default" && *mix != "observe" {
 		return fmt.Errorf("-mix must be default or observe, got %q", *mix)
 	}
 	if *cells < 0 {
 		return fmt.Errorf("-cells must be >= 0, got %d", *cells)
 	}
-	binaryInfer := *codec == "binary"
 	base := "http://" + *addr
 
 	// Liveness gate before spending the measurement window. A fleet
@@ -510,9 +472,9 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-cells %d: %w", *cells, err)
 		}
-		pool = buildFleetPool(*seed, dir, binaryInfer)
+		pool = buildFleetPool(*seed, dir)
 	} else {
-		pool = buildPool(*seed, binaryInfer, *mix)
+		pool = buildPool(*seed, *mix)
 	}
 	client := &http.Client{Timeout: 60 * time.Second}
 
@@ -523,7 +485,7 @@ func run(args []string) error {
 		if i < len(pool.seedQ) {
 			q = pool.seedQ[i]
 		}
-		if err := postSeed(client, base+epPaths[epObserve]+q, body, pool.binaryEp[epObserve]); err != nil {
+		if err := postSeed(client, base+epPaths[epObserve]+q, body); err != nil {
 			return fmt.Errorf("session pre-seed %d: %w", i, err)
 		}
 	}
@@ -563,14 +525,7 @@ func run(args []string) error {
 				ep, body, cellQ := pool.pick(idx)
 				for attempt := 0; ; attempt++ {
 					t0 := time.Now()
-					hreq, _ := http.NewRequest(http.MethodPost, base+epPaths[ep]+cellQ, bytes.NewReader(body))
-					if pool.binaryEp[ep] {
-						hreq.Header.Set("Content-Type", serve.ContentTypeBinary)
-						hreq.Header.Set("Accept", serve.ContentTypeBinary)
-					} else {
-						hreq.Header.Set("Content-Type", "application/json")
-					}
-					resp, err := client.Do(hreq)
+					resp, err := client.Post(base+epPaths[ep]+cellQ, "application/json", bytes.NewReader(body))
 					lat := float64(time.Since(t0)) / float64(time.Millisecond)
 					if err != nil {
 						tl.failed++
@@ -652,7 +607,7 @@ func run(args []string) error {
 		GoVersion:   runtime.Version(),
 		GitDescribe: obs.GitDescribe(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Note:        fmt.Sprintf("bluload seed=%d c=%d mix=%s cells=%d codec=%s against %s", *seed, *conc, *mix, *cells, *codec, *addr),
+		Note:        fmt.Sprintf("bluload seed=%d c=%d mix=%s cells=%d against %s", *seed, *conc, *mix, *cells, *addr),
 	}
 	for ep := 0; ep < numEndpoints; ep++ {
 		lats := merged.latencies[ep]
@@ -715,17 +670,8 @@ func run(args []string) error {
 
 // postSeed issues one synchronous observe outside the measurement
 // window; anything but 200 aborts the run before workers launch.
-func postSeed(client *http.Client, url string, body []byte, binary bool) error {
-	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	if binary {
-		hreq.Header.Set("Content-Type", serve.ContentTypeBinary)
-	} else {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := client.Do(hreq)
+func postSeed(client *http.Client, url string, body []byte) error {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -21,8 +21,6 @@ type LocalConfig struct {
 	Shards int
 	// Directory is the fleet-wide cell listing (required).
 	Directory Directory
-	// Replicas is the ring vnode count (0 = default).
-	Replicas int
 	// Serve is the per-shard serving config. A set Serve.StateDir is the
 	// fleet's state root: each shard persists under <StateDir>/<name>.
 	Serve serve.Config
@@ -80,7 +78,6 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 		scfg := ShardConfig{
 			Name:             names[i],
 			ShardNames:       names,
-			Replicas:         cfg.Replicas,
 			Directory:        cfg.Directory,
 			Serve:            cfg.Serve,
 			ExchangeInterval: cfg.ExchangeInterval,
@@ -110,7 +107,6 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	}
 	rt, err := NewRouter(RouterConfig{
 		Shards:       l.ShardAddrs,
-		Replicas:     cfg.Replicas,
 		Directory:    cfg.Directory,
 		LocalMetrics: true, // one process, one obs registry
 	})

@@ -116,12 +116,12 @@ func TestRouterRelayErrorStatus(t *testing.T) {
 
 // TestRouterRelayHeaders pins relay byte-identity at the header level:
 // everything the shard emits crosses the router except hop-by-hop
-// headers — including the binary codec's Content-Type on an error
-// path, multi-valued headers, and headers serve does not emit today.
+// headers — including a non-JSON Content-Type on an error path,
+// multi-valued headers, and headers serve does not emit today.
 func TestRouterRelayHeaders(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h := w.Header()
-		h.Set("Content-Type", serve.ContentTypeBinary)
+		h.Set("Content-Type", "application/octet-stream")
 		h.Set("X-Blu-Cache", "hit")
 		h.Add("X-Custom-Multi", "first")
 		h.Add("X-Custom-Multi", "second")
@@ -186,11 +186,11 @@ func TestRouterRelayHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/infer?cell=cell-0", strings.NewReader(`{}`))
-	req.Header.Set("Accept", serve.ContentTypeBinary)
+	req.Header.Set("Accept", "application/octet-stream")
 	req.Header.Set("Keep-Alive", "timeout=1")
 	rec = httptest.NewRecorder()
 	rt2.Handler().ServeHTTP(rec, req)
-	if got := rec.Header().Get("X-Echo-Accept"); got != serve.ContentTypeBinary {
+	if got := rec.Header().Get("X-Echo-Accept"); got != "application/octet-stream" {
 		t.Errorf("Accept did not cross to the shard: %q", got)
 	}
 	if got := rec.Header().Get("X-Echo-Conn"); got != "" {

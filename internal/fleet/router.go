@@ -45,9 +45,6 @@ type RouterConfig struct {
 	// Shards maps shard names to base URLs; the ring is built over the
 	// key set.
 	Shards map[string]string
-	// Replicas is the ring vnode count (0 = default); it must match the
-	// shards' setting or ownership diverges.
-	Replicas int
 	// Directory is the fleet-wide cell listing (map merge validation).
 	Directory Directory
 	// LocalMetrics serves /metrics from the local obs registry instead
@@ -105,7 +102,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		client:   &http.Client{Timeout: timeout},
-		ring:     NewRing(cfg.Replicas, names...),
+		ring:     NewRing(0, names...),
 		shards:   shards,
 		moving:   map[string]bool{},
 		inflight: map[string]int{},
@@ -153,24 +150,6 @@ func (rt *Router) UpdateShard(name, url string) {
 		rt.ring = rt.ring.Add(name)
 	}
 	rt.shards[name] = strings.TrimSuffix(url, "/")
-}
-
-// RemoveShard drops a shard from the ring and routing table; its cells
-// move to the surviving shards (~1/K of the total).
-func (rt *Router) RemoveShard(name string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.shards, name)
-	rt.ring = rt.ring.Remove(name)
-}
-
-// shardFor resolves a cell id to the owning shard's name and URL.
-func (rt *Router) shardFor(cellID string) (name, url string, ok bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	name = rt.ring.Owner(cellID)
-	url, ok = rt.shards[name]
-	return name, url, ok
 }
 
 // admit resolves a cell for relaying under one critical section: a
@@ -223,8 +202,7 @@ func cellOf(r *http.Request) string {
 // hopByHopHeaders are the connection-scoped headers a relay must not
 // forward (RFC 9110 §7.6.1). Everything else crosses verbatim, both
 // directions, so the client sees exactly the header set the shard
-// emitted — including the binary codec's Content-Type on error paths
-// and any header a future serve version adds.
+// emitted — including any header a future serve version adds.
 var hopByHopHeaders = map[string]bool{
 	"Connection":          true,
 	"Keep-Alive":          true,

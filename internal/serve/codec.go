@@ -1,41 +1,22 @@
-// Binary wire codec for the infer endpoint — the compact alternative
-// to the JSON schema in wire.go, negotiated per request via
-// Content-Type (request body) and Accept (response body) set to
-// ContentTypeBinary. The codec exists so load generators can measure
-// the JSON tax directly: both codecs decode into the *same* wire
-// structs, so validation (ToMeasurements), canonical digesting
-// (digestInfer), coalescing, and caching are shared — only the byte
-// layer differs.
+// Durable record codec: the length-prefixed binary frame serve writes
+// as its observe WAL record (walObservePayload encodes it,
+// replayObserveRecord decodes it on recovery), plus the fixed-width
+// field reader/writer the snapshot's session record is built from
+// (durable.go). HTTP bodies are JSON only (wire.go); these bytes live
+// on disk, so the layout below is frozen — a change needs a new
+// version byte.
 //
 // Frame layout (all multi-byte fields little-endian):
 //
 //	[4]byte magic "BLUW"
 //	u8     version (currently 1)
-//	u8     kind    (1 = infer request, 2 = infer response,
-//	                3 = observe request, 4 = observe response)
+//	u8     kind    (3 = observe request; 1, 2 and 4 are reserved
+//	                and never reused)
 //	u32    payload length
 //	...    payload (exactly the declared length; trailing bytes reject)
 //
-// Infer request payload:
-//
-//	u8  n
-//	n × f64 p[i]
-//	u16 pairCount,   pairCount   × (u8 i, u8 j, f64 p)
-//	u16 tripleCount, tripleCount × (u8 i, u8 j, u8 k, f64 p)
-//	i32 maxIterations, f64 tolerance, i32 randomStarts, u64 seed,
-//	i32 maxHTs, i32 stallLimit, i32 perturbations
-//	i32 timeoutMS
-//
-// Infer response payload:
-//
-//	u8  n
-//	u16 htCount × (f64 q, u64 clients bitmask)
-//	f64 violation, f64 maxViolation
-//	u8  converged (0 or 1)
-//	u32 starts, u32 iterations
-//
-// Observe request payload (the streaming ingestion fast path — one
-// observation is 2 + schedCount + 8 bytes against ~60 of JSON):
+// Observe request payload (one observation is 2 + schedCount + 8
+// bytes):
 //
 //	u8  sessionLen, sessionLen bytes of session id
 //	u8  n
@@ -44,18 +25,10 @@
 //	u16 count, count × (u8 schedCount, schedCount × u8 scheduled,
 //	                    u64 accessed bitmask)
 //
-// Observe response payload:
-//
-//	u8  sessionLen, sessionLen bytes of session id
-//	u32 folded, u32 epoch
-//	u64 digest
-//	u32 invalidated, u32 evicted
-//
-// Decoding is structural only — index ranges, probability bounds, and
-// topology invariants stay the job of ToMeasurements/ToTopology, the
-// same gate the JSON path goes through. Every malformed input returns
-// an error wrapping errMalformedFrame; nothing panics, which the fuzz
-// suite in codec_fuzz_test.go enforces.
+// Decoding is structural only — index ranges stay the job of
+// validateObserve, the same gate a live request goes through. Every
+// malformed input returns an error wrapping errMalformedFrame; nothing
+// panics, which FuzzObserveWire enforces.
 package serve
 
 import (
@@ -64,27 +37,18 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 
 	"blu/internal/blueprint"
 )
 
-// ContentTypeBinary selects the binary codec on the infer endpoint: as
-// a request Content-Type it declares a binary body, in Accept it asks
-// for a binary response. Everything else (errors included) stays JSON.
-const ContentTypeBinary = "application/x-blu-binary"
-
 const (
-	wireVersion         = 1
-	kindInferRequest    = 1
-	kindInferResponse   = 2
-	kindObserveRequest  = 3
-	kindObserveResponse = 4
+	wireVersion        = 1
+	kindObserveRequest = 3
 
 	frameHeaderLen = 10 // magic(4) + version(1) + kind(1) + length(4)
 
-	// maxFramePayload caps the declared payload length, mirroring the
-	// HTTP body cap so a forged length field cannot drive a huge
+	// maxFramePayload caps the declared payload length at the HTTP
+	// body cap, so a forged length field cannot drive a huge
 	// allocation.
 	maxFramePayload = 8 << 20
 )
@@ -175,16 +139,16 @@ func (r *wireReader) i32() (int, error) {
 
 // appendFrameHeader writes the frame header with a placeholder length
 // and returns the offset to backpatch once the payload is written.
-func appendFrameHeader(b []byte, kind byte) ([]byte, int) {
+func appendFrameHeader(b []byte) ([]byte, int) {
 	b = append(b, wireMagic[:]...)
-	b = append(b, wireVersion, kind)
+	b = append(b, wireVersion, kindObserveRequest)
 	lenOff := len(b)
 	b = append(b, 0, 0, 0, 0)
 	return b, lenOff
 }
 
 // openFrame validates the header and returns the payload slice.
-func openFrame(data []byte, wantKind byte) ([]byte, error) {
+func openFrame(data []byte) ([]byte, error) {
 	if len(data) < frameHeaderLen {
 		return nil, frameErr("%d bytes, header needs %d", len(data), frameHeaderLen)
 	}
@@ -194,8 +158,8 @@ func openFrame(data []byte, wantKind byte) ([]byte, error) {
 	if data[4] != wireVersion {
 		return nil, frameErr("unsupported version %d", data[4])
 	}
-	if data[5] != wantKind {
-		return nil, frameErr("kind %d, want %d", data[5], wantKind)
+	if data[5] != kindObserveRequest {
+		return nil, frameErr("kind %d, want %d", data[5], kindObserveRequest)
 	}
 	n := binary.LittleEndian.Uint32(data[6:])
 	if n > maxFramePayload {
@@ -208,293 +172,10 @@ func openFrame(data []byte, wantKind byte) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeInferRequest renders req as one binary frame. It errors when a
-// value does not fit the wire (client index or N beyond a byte, more
-// than 65535 pairs/triples, an option beyond int32) rather than
-// truncating; semantically invalid but representable values pass, to
-// be rejected by ToMeasurements on the receiving side exactly like
-// their JSON spelling.
-func EncodeInferRequest(req *InferRequest) ([]byte, error) {
-	m := &req.Measurements
-	if m.N < 0 || m.N > 255 {
-		return nil, fmt.Errorf("binary codec: n=%d does not fit the wire", m.N)
-	}
-	if len(m.P) > 255 {
-		return nil, fmt.Errorf("binary codec: %d marginals do not fit the wire", len(m.P))
-	}
-	if len(m.Pairs) > math.MaxUint16 || len(m.Triples) > math.MaxUint16 {
-		return nil, fmt.Errorf("binary codec: %d pairs / %d triples do not fit the wire",
-			len(m.Pairs), len(m.Triples))
-	}
-	size := frameHeaderLen + 1 + 8*len(m.P) + 2 + 10*len(m.Pairs) + 2 + 11*len(m.Triples) + 40
-	w := wireWriter{b: make([]byte, 0, size)}
-	var lenOff int
-	w.b, lenOff = appendFrameHeader(w.b, kindInferRequest)
-
-	w.u8(byte(m.N))
-	// The marginal count is implied by N on the wire; a mismatched P is
-	// only representable when it matches, so encode rejects the rest
-	// here (JSON would carry it to ToMeasurements, which rejects it the
-	// same way).
-	if len(m.P) != m.N {
-		return nil, fmt.Errorf("binary codec: %d marginals for n=%d", len(m.P), m.N)
-	}
-	for _, p := range m.P {
-		w.f64(p)
-	}
-	w.u16(uint16(len(m.Pairs)))
-	for _, pr := range m.Pairs {
-		if pr.I < 0 || pr.I > 255 || pr.J < 0 || pr.J > 255 {
-			return nil, fmt.Errorf("binary codec: pair (%d,%d) does not fit the wire", pr.I, pr.J)
-		}
-		w.u8(byte(pr.I))
-		w.u8(byte(pr.J))
-		w.f64(pr.P)
-	}
-	w.u16(uint16(len(m.Triples)))
-	for _, tr := range m.Triples {
-		if tr.I < 0 || tr.I > 255 || tr.J < 0 || tr.J > 255 || tr.K < 0 || tr.K > 255 {
-			return nil, fmt.Errorf("binary codec: triple (%d,%d,%d) does not fit the wire", tr.I, tr.J, tr.K)
-		}
-		w.u8(byte(tr.I))
-		w.u8(byte(tr.J))
-		w.u8(byte(tr.K))
-		w.f64(tr.P)
-	}
-	o := req.Options
-	if err := w.i32("max_iterations", o.MaxIterations); err != nil {
-		return nil, err
-	}
-	w.f64(o.Tolerance)
-	if err := w.i32("random_starts", o.RandomStarts); err != nil {
-		return nil, err
-	}
-	w.u64(o.Seed)
-	if err := w.i32("max_hts", o.MaxHTs); err != nil {
-		return nil, err
-	}
-	if err := w.i32("stall_limit", o.StallLimit); err != nil {
-		return nil, err
-	}
-	if err := w.i32("perturbations", o.Perturbations); err != nil {
-		return nil, err
-	}
-	if err := w.i32("timeout_ms", req.TimeoutMS); err != nil {
-		return nil, err
-	}
-
-	binary.LittleEndian.PutUint32(w.b[lenOff:], uint32(len(w.b)-frameHeaderLen))
-	return w.b, nil
-}
-
-// DecodeInferRequest parses one binary request frame into the same
-// wire struct the JSON decoder fills, so the downstream validation and
-// digest paths are codec-independent. Structural damage — short
-// frames, bad magic, a length field that disagrees with the body,
-// trailing bytes — errors without panicking.
-func DecodeInferRequest(data []byte) (*InferRequest, error) {
-	payload, err := openFrame(data, kindInferRequest)
-	if err != nil {
-		return nil, err
-	}
-	r := wireReader{b: payload}
-	req := &InferRequest{}
-	m := &req.Measurements
-
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.N = int(n)
-	if n > 0 {
-		if r.remaining() < 8*int(n) {
-			return nil, frameErr("truncated marginals: %d bytes left for n=%d", r.remaining(), n)
-		}
-		m.P = make([]float64, n)
-		for i := range m.P {
-			m.P[i], _ = r.f64()
-		}
-	}
-	pairCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if pairCount > 0 {
-		if r.remaining() < 10*int(pairCount) {
-			return nil, frameErr("truncated pairs: %d bytes left for %d pairs", r.remaining(), pairCount)
-		}
-		m.Pairs = make([]PairProb, pairCount)
-		for i := range m.Pairs {
-			a, _ := r.u8()
-			b, _ := r.u8()
-			p, _ := r.f64()
-			m.Pairs[i] = PairProb{I: int(a), J: int(b), P: p}
-		}
-	}
-	tripleCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if tripleCount > 0 {
-		if r.remaining() < 11*int(tripleCount) {
-			return nil, frameErr("truncated triples: %d bytes left for %d triples", r.remaining(), tripleCount)
-		}
-		m.Triples = make([]TripleProb, tripleCount)
-		for i := range m.Triples {
-			a, _ := r.u8()
-			b, _ := r.u8()
-			c, _ := r.u8()
-			p, _ := r.f64()
-			m.Triples[i] = TripleProb{I: int(a), J: int(b), K: int(c), P: p}
-		}
-	}
-	if req.Options.MaxIterations, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.Tolerance, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Options.RandomStarts, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.Seed, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if req.Options.MaxHTs, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.StallLimit, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.Perturbations, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.TimeoutMS, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
-	}
-	return req, nil
-}
-
-// EncodeInferResponse renders resp as one binary frame. Client sets
-// travel as 64-bit membership masks, so a terminal containing a client
-// outside [0,64) is unrepresentable and errors (the solver cannot
-// produce one; only a hand-built response can).
-func EncodeInferResponse(resp *InferResponse) ([]byte, error) {
-	t := &resp.Topology
-	if t.N < 0 || t.N > 255 {
-		return nil, fmt.Errorf("binary codec: n=%d does not fit the wire", t.N)
-	}
-	if len(t.HTs) > math.MaxUint16 {
-		return nil, fmt.Errorf("binary codec: %d terminals do not fit the wire", len(t.HTs))
-	}
-	size := frameHeaderLen + 1 + 2 + 16*len(t.HTs) + 8 + 8 + 1 + 4 + 4
-	w := wireWriter{b: make([]byte, 0, size)}
-	var lenOff int
-	w.b, lenOff = appendFrameHeader(w.b, kindInferResponse)
-
-	w.u8(byte(t.N))
-	w.u16(uint16(len(t.HTs)))
-	for k, ht := range t.HTs {
-		var mask uint64
-		for _, c := range ht.Clients {
-			if c < 0 || c >= blueprint.MaxClients {
-				return nil, fmt.Errorf("binary codec: ht %d client %d does not fit the wire mask", k, c)
-			}
-			mask |= 1 << uint(c)
-		}
-		if bits.OnesCount64(mask) != len(ht.Clients) {
-			return nil, fmt.Errorf("binary codec: ht %d repeats a client", k)
-		}
-		w.f64(ht.Q)
-		w.u64(mask)
-	}
-	w.f64(resp.Violation)
-	w.f64(resp.MaxViolation)
-	if resp.Converged {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	if err := w.i32("starts", resp.Starts); err != nil {
-		return nil, err
-	}
-	if err := w.i32("iterations", resp.Iterations); err != nil {
-		return nil, err
-	}
-
-	binary.LittleEndian.PutUint32(w.b[lenOff:], uint32(len(w.b)-frameHeaderLen))
-	return w.b, nil
-}
-
-// DecodeInferResponse parses one binary response frame. Client masks
-// decode to ascending member lists, matching the canonical rendering
-// TopologyToWire produces, so binary→struct→JSON equals the JSON the
-// server would have sent directly.
-func DecodeInferResponse(data []byte) (*InferResponse, error) {
-	payload, err := openFrame(data, kindInferResponse)
-	if err != nil {
-		return nil, err
-	}
-	r := wireReader{b: payload}
-	resp := &InferResponse{}
-
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	resp.Topology.N = int(n)
-	htCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if htCount > 0 {
-		if r.remaining() < 16*int(htCount) {
-			return nil, frameErr("truncated terminals: %d bytes left for %d", r.remaining(), htCount)
-		}
-		resp.Topology.HTs = make([]HTWire, htCount)
-		for i := range resp.Topology.HTs {
-			q, _ := r.f64()
-			mask, _ := r.u64()
-			members := make([]int, 0, bits.OnesCount64(mask))
-			for v := mask; v != 0; v &= v - 1 {
-				members = append(members, bits.TrailingZeros64(v))
-			}
-			resp.Topology.HTs[i] = HTWire{Q: q, Clients: members}
-		}
-	}
-	if resp.Violation, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if resp.MaxViolation, err = r.f64(); err != nil {
-		return nil, err
-	}
-	conv, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if conv > 1 {
-		return nil, frameErr("converged byte %d, want 0 or 1", conv)
-	}
-	resp.Converged = conv == 1
-	if resp.Starts, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Iterations, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
-	}
-	return resp, nil
-}
-
-// EncodeObserveRequest renders req as one binary frame. Accessed sets
-// travel as 64-bit membership masks, so an accessed client outside
-// [0,64) is unrepresentable and errors (such an index is a protocol
-// error on the JSON path too — the handler rejects it before folding).
+// EncodeObserveRequest renders req as one observe frame — the WAL
+// record format. Accessed sets travel as 64-bit membership masks, so
+// an accessed client outside [0,64) is unrepresentable and errors
+// (validateObserve rejects such an index before anything is logged).
 func EncodeObserveRequest(req *ObserveRequest) ([]byte, error) {
 	if len(req.Session) > 255 {
 		return nil, fmt.Errorf("binary codec: session id %d bytes does not fit the wire", len(req.Session))
@@ -511,7 +192,7 @@ func EncodeObserveRequest(req *ObserveRequest) ([]byte, error) {
 	}
 	w := wireWriter{b: make([]byte, 0, size)}
 	var lenOff int
-	w.b, lenOff = appendFrameHeader(w.b, kindObserveRequest)
+	w.b, lenOff = appendFrameHeader(w.b)
 
 	w.u8(byte(len(req.Session)))
 	w.b = append(w.b, req.Session...)
@@ -552,12 +233,12 @@ func EncodeObserveRequest(req *ObserveRequest) ([]byte, error) {
 	return w.b, nil
 }
 
-// DecodeObserveRequest parses one binary observe frame into the same
-// wire struct the JSON decoder fills; the handler's validation runs
-// identically after either codec. Accessed masks decode to ascending
-// member lists, matching the canonical JSON rendering.
+// DecodeObserveRequest parses one observe frame into the same wire
+// struct the JSON decoder fills, so WAL replay runs the live request's
+// validation and fold path. Accessed masks decode to ascending member
+// lists, matching the canonical JSON rendering.
 func DecodeObserveRequest(data []byte) (*ObserveRequest, error) {
-	payload, err := openFrame(data, kindObserveRequest)
+	payload, err := openFrame(data)
 	if err != nil {
 		return nil, err
 	}
@@ -621,84 +302,4 @@ func DecodeObserveRequest(data []byte) (*ObserveRequest, error) {
 		return nil, frameErr("%d trailing payload bytes", r.remaining())
 	}
 	return req, nil
-}
-
-// EncodeObserveResponse renders resp as one binary frame. The digest
-// travels as its raw 64 bits; a Digest string that is not 16 hex
-// digits errors (only a hand-built response can carry one).
-func EncodeObserveResponse(resp *ObserveResponse) ([]byte, error) {
-	if len(resp.Session) > 255 {
-		return nil, fmt.Errorf("binary codec: session id %d bytes does not fit the wire", len(resp.Session))
-	}
-	dg, err := strconv.ParseUint(resp.Digest, 16, 64)
-	if err != nil || len(resp.Digest) != 16 {
-		return nil, fmt.Errorf("binary codec: digest %q is not 16 hex digits", resp.Digest)
-	}
-	size := frameHeaderLen + 1 + len(resp.Session) + 4 + 4 + 8 + 4 + 4
-	w := wireWriter{b: make([]byte, 0, size)}
-	var lenOff int
-	w.b, lenOff = appendFrameHeader(w.b, kindObserveResponse)
-
-	w.u8(byte(len(resp.Session)))
-	w.b = append(w.b, resp.Session...)
-	if err := w.i32("folded", resp.Folded); err != nil {
-		return nil, err
-	}
-	if err := w.i32("epoch", resp.Epoch); err != nil {
-		return nil, err
-	}
-	w.u64(dg)
-	if err := w.i32("invalidated", resp.Invalidated); err != nil {
-		return nil, err
-	}
-	if err := w.i32("evicted", resp.Evicted); err != nil {
-		return nil, err
-	}
-
-	binary.LittleEndian.PutUint32(w.b[lenOff:], uint32(len(w.b)-frameHeaderLen))
-	return w.b, nil
-}
-
-// DecodeObserveResponse parses one binary observe response frame,
-// rendering the digest back to the %016x string the JSON codec
-// carries, so binary→struct→JSON equals the JSON the server would
-// have sent directly.
-func DecodeObserveResponse(data []byte) (*ObserveResponse, error) {
-	payload, err := openFrame(data, kindObserveResponse)
-	if err != nil {
-		return nil, err
-	}
-	r := wireReader{b: payload}
-	resp := &ObserveResponse{}
-
-	sessLen, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() < int(sessLen) {
-		return nil, frameErr("truncated session id: %d bytes left for %d", r.remaining(), sessLen)
-	}
-	resp.Session = string(r.b[r.off : r.off+int(sessLen)])
-	r.off += int(sessLen)
-	if resp.Folded, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Epoch, err = r.i32(); err != nil {
-		return nil, err
-	}
-	dg, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	resp.Digest = fmt.Sprintf("%016x", dg)
-	if resp.Invalidated, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Evicted, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
-	}
-	return resp, nil
 }

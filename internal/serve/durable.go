@@ -350,6 +350,12 @@ func (s *Server) restoreSessionRecord(rec []byte) error {
 	if err != nil {
 		return err
 	}
+	// The window ring is allocated at its declared capacity, so a forged
+	// capacity must fail here instead of driving a huge allocation; no
+	// server builds a window wider than windowEpochs.
+	if capacity > windowEpochs {
+		return fmt.Errorf("session record window capacity %d exceeds %d", capacity, windowEpochs)
+	}
 	st.Capacity = int(capacity)
 	seq, err := r.u64()
 	if err != nil {

@@ -10,7 +10,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blu/internal/blueprint"
@@ -67,29 +66,10 @@ func validateObserve(req *ObserveRequest) ([]blueprint.ClientSet, error) {
 }
 
 // handleObserve is POST /v1/observe: a batch of per-subframe access
-// outcomes → the session's windowed estimator. Request and response
-// bodies are JSON by default; like /v1/infer, Content-Type and Accept
-// set to ContentTypeBinary select binary frames (errors stay JSON).
+// outcomes → the session's windowed estimator.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	binaryResp := acceptsBinary(r)
-	if binaryResp {
-		obsBinary.Inc()
-	}
-	if mediaType(r.Header.Get("Content-Type")) == ContentTypeBinary {
-		obsBinary.Inc()
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		dec, err := DecodeObserveRequest(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		req = *dec
-	} else if err := decode(r, &req); err != nil {
+	if err := decode(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -145,16 +125,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		// The WAL refused the batch, so nothing folded: the observation
 		// is not durable and must not be acknowledged.
 		writeError(w, http.StatusInternalServerError, "durability layer: "+foldErr.Error())
-		return
-	}
-
-	if binaryResp {
-		body, err := EncodeObserveResponse(&resp)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBody(w, http.StatusOK, ContentTypeBinary, body)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

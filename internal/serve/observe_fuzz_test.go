@@ -9,9 +9,9 @@ import (
 	"blu/internal/rng"
 )
 
-// fuzzObserveSeeds builds realistic observe frames the way bluload's
-// observe mix does: random scheduled sets with partially-blocked
-// outcomes over a handful of sessions.
+// fuzzObserveSeeds builds realistic WAL observe frames from batches
+// shaped like bluload's observe mix: random scheduled sets with
+// partially-blocked outcomes over a handful of sessions.
 func fuzzObserveSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	r := rng.New(0x0B53).Split("observe")
@@ -44,10 +44,11 @@ func fuzzObserveSeeds(tb testing.TB) [][]byte {
 	return frames
 }
 
-// FuzzObserveWire hammers the whole /v1/observe ingestion path with
-// arbitrary bytes under both codecs: whatever the input, decoding must
-// not panic; a binary frame the decoder accepts must be canonical
-// under re-encode; and any payload that passes the handler's
+// FuzzObserveWire hammers both observe ingestion paths — a JSON
+// request body and a WAL record on replay — with arbitrary bytes:
+// whatever the input, decoding must not panic; a WAL frame the decoder
+// accepts must be canonical under re-encode; and any payload that
+// passes the handler's
 // validation gate must fold deterministically — two windows fed the
 // same batch agree, and both agree with a batch access.Estimator —
 // because the session digest (and so cache invalidation) is built on
@@ -116,41 +117,6 @@ func FuzzObserveWire(f *testing.F) {
 		// aggregate must equal the batch estimator exactly.
 		if de := digestMeasurements(est.Measurements()); d1 != de {
 			t.Fatalf("windowed digest %016x disagrees with batch estimator %016x", d1, de)
-		}
-	})
-}
-
-// FuzzDecodeObserveResponse is the response-side twin: no panics, and
-// accepted frames are canonical under a decode/encode round trip.
-func FuzzDecodeObserveResponse(f *testing.F) {
-	seed, err := EncodeObserveResponse(&ObserveResponse{
-		Session: "cell-1", Folded: 40, Epoch: 3,
-		Digest: "9e3779b97f4a7c15", Invalidated: 2, Evicted: 1,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	flip := append([]byte(nil), seed...)
-	flip[len(flip)-3] ^= 0x80
-	f.Add(flip)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := DecodeObserveResponse(data)
-		if err != nil {
-			return
-		}
-		frame, err := EncodeObserveResponse(resp)
-		if err != nil {
-			t.Fatalf("accepted frame fails to re-encode: %v", err)
-		}
-		again, err := DecodeObserveResponse(frame)
-		if err != nil {
-			t.Fatalf("re-encoded frame fails to decode: %v", err)
-		}
-		frame2, err := EncodeObserveResponse(again)
-		if err != nil || !bytes.Equal(frame, frame2) {
-			t.Fatalf("codec is not canonical: second round trip changed the frame (%v)", err)
 		}
 	})
 }

@@ -3,9 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -266,54 +266,9 @@ func TestObserveSessionEviction(t *testing.T) {
 	}
 }
 
-// TestObserveBinary drives /v1/observe with binary frames both ways
-// and checks the result is indistinguishable from the JSON spelling:
-// same fold counts and — because the digest is content-only — the same
-// digest as a JSON twin session fed identical outcomes.
-func TestObserveBinary(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	obsrv := htObservations(30, 3)
-	jsonResp := postObserve(t, ts.URL, ObserveRequest{Session: "json-twin", N: 3, Observations: obsrv})
-
-	frame, err := EncodeObserveRequest(&ObserveRequest{Session: "bin-twin", N: 3, Observations: obsrv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/observe", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Header.Set("Accept", ContentTypeBinary)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary observe status %d: %s", resp.StatusCode, body)
-	}
-	if ct := mediaType(resp.Header.Get("Content-Type")); ct != ContentTypeBinary {
-		t.Fatalf("binary observe answered Content-Type %q", ct)
-	}
-	br, err := DecodeObserveResponse(body)
-	if err != nil {
-		t.Fatalf("binary observe response does not decode: %v", err)
-	}
-	if br.Session != "bin-twin" || br.Folded != jsonResp.Folded {
-		t.Errorf("binary response %+v disagrees with JSON twin %+v", br, jsonResp)
-	}
-	if br.Digest != jsonResp.Digest {
-		t.Errorf("binary digest %s, JSON twin digest %s", br.Digest, jsonResp.Digest)
-	}
-	if _, err := strconv.ParseUint(br.Digest, 16, 64); err != nil {
-		t.Errorf("binary digest %q is not hex", br.Digest)
-	}
-}
-
-// TestObserveCodecRoundTrip pins the observe frames the way
-// codec_test.go pins the infer frames: encode → decode → identical
-// struct, and representability errors instead of truncation.
+// TestObserveCodecRoundTrip pins the observe frame (the WAL record
+// format): encode → decode → identical struct, and representability
+// errors instead of truncation.
 func TestObserveCodecRoundTrip(t *testing.T) {
 	req := &ObserveRequest{
 		Session: "cell-7", N: 12, Seal: true, TimeoutMS: 1500,
@@ -344,20 +299,6 @@ func TestObserveCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	resp := &ObserveResponse{Session: "cell-7", Folded: 3, Epoch: 9,
-		Digest: "00ff00ff00ff00ff", Invalidated: 2, Evicted: 1}
-	rframe, err := EncodeObserveResponse(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rgot, err := DecodeObserveResponse(rframe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *rgot != *resp {
-		t.Errorf("response round trip: %+v, want %+v", rgot, resp)
-	}
-
 	for name, bad := range map[string]*ObserveRequest{
 		"accessed beyond mask": {Session: "x", N: 3,
 			Observations: []ObservationWire{{Scheduled: []int{0}, Accessed: []int{64}}}},
@@ -369,7 +310,55 @@ func TestObserveCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: encode accepted an unrepresentable request", name)
 		}
 	}
-	if _, err := EncodeObserveResponse(&ObserveResponse{Session: "x", Digest: "nope"}); err == nil {
-		t.Error("encode accepted a non-hex digest")
+}
+
+// TestBinaryCodecRejectsMalformed drives the WAL record decoder
+// through the damage matrix: every case must error (wrapping
+// errMalformedFrame) and none may panic. Truncations cover every
+// prefix length of a valid frame, so each field boundary is hit.
+func TestBinaryCodecRejectsMalformed(t *testing.T) {
+	valid, err := EncodeObserveRequest(&ObserveRequest{
+		Session: "cell-7", N: 12, Seal: true,
+		Observations: []ObservationWire{
+			{Scheduled: []int{0, 3, 7, 11}, Accessed: []int{0, 7}},
+			{Scheduled: []int{1, 2}, Accessed: []int{}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte) error { _, err := DecodeObserveRequest(b); return err }
+
+	for cut := 0; cut < len(valid); cut++ {
+		if err := decode(valid[:cut]); err == nil {
+			t.Errorf("frame truncated to %d bytes decoded successfully", cut)
+		} else if !errors.Is(err, errMalformedFrame) {
+			t.Errorf("frame truncated to %d bytes: error %v does not wrap errMalformedFrame", cut, err)
+		}
+	}
+	mutate := func(name string, off int, b byte) {
+		bad := append([]byte(nil), valid...)
+		bad[off] = b
+		if err := decode(bad); err == nil {
+			t.Errorf("frame with %s decoded successfully", name)
+		}
+	}
+	mutate("bad magic", 0, 'X')
+	mutate("bad version", 4, 99)
+	// Kinds 1, 2 and 4 are reserved: a frame claiming one is not a
+	// WAL record.
+	mutate("reserved kind", 5, 1)
+	mutate("inflated length", 6, valid[6]+1)
+	// A seal byte outside {0,1} is non-canonical and rejects.
+	mutate("seal=2", frameHeaderLen+1+len("cell-7")+1, 2)
+	if err := decode(append(append([]byte(nil), valid...), 0xEE)); err == nil {
+		t.Error("frame with a trailing byte decoded successfully")
+	}
+
+	// An absurd declared length must be rejected before any allocation.
+	huge := append([]byte(nil), valid[:frameHeaderLen]...)
+	huge[6], huge[7], huge[8], huge[9] = 0xFF, 0xFF, 0xFF, 0x7F
+	if err := decode(huge); err == nil {
+		t.Error("frame declaring a 2GB payload decoded successfully")
 	}
 }

@@ -42,10 +42,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -66,15 +64,14 @@ var (
 	obsRejected  = obs.GetCounter("serve_queue_reject_total")
 	obsTimeouts  = obs.GetCounter("serve_timeout_total")
 	obsBadReq    = obs.GetCounter("serve_bad_request_total")
-	obsBinary    = obs.GetCounter("serve_binary_total")
 	obsObserves  = obs.GetCounter("serve_observe_total")
 	// obsInvalidation counts cache entries removed because the session
 	// that minted them saw its measurement digest move (or died) — the
 	// digest-delta invalidations, as opposed to capacity evictions.
 	obsInvalidation = obs.GetCounter("serve_invalidation_total")
-	obsDrains    = obs.GetCounter("serve_drains_total")
-	obsQueueLen  = obs.GetGauge("serve_queue_depth")
-	obsLatency   = obs.GetHistogram("serve_latency_ms",
+	obsDrains       = obs.GetCounter("serve_drains_total")
+	obsQueueLen     = obs.GetGauge("serve_queue_depth")
+	obsLatency      = obs.GetHistogram("serve_latency_ms",
 		[]float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
 )
 
@@ -82,11 +79,6 @@ var (
 type Config struct {
 	// Workers bounds the compute pool (0 = GOMAXPROCS).
 	Workers int
-	// SolverParallelism is blueprint.InferOptions.Parallelism applied to
-	// every solver run (default 1: the service takes its throughput from
-	// concurrent requests, not per-request fan-out; results are
-	// byte-identical either way).
-	SolverParallelism int
 	// QueueDepth bounds the work queue; submissions beyond it get 429
 	// (default 64).
 	QueueDepth int
@@ -97,14 +89,6 @@ type Config struct {
 	// a session past the bound evicts the least-recently-used one
 	// (default 256).
 	MaxSessions int
-	// WindowEpochs is the windowed-estimator capacity, in sealed epochs,
-	// for new sessions (default 64).
-	WindowEpochs int
-	// DefaultTimeout applies when a request carries no timeout_ms
-	// (default 30s). MaxTimeout caps client-supplied deadlines
-	// (default 2m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// StateDir, when set (via NewDurable), selects durable session
 	// state: observe batches are WAL-logged under it and sessions are
 	// snapshotted periodically and on drain (DESIGN.md §15). New ignores
@@ -127,10 +111,23 @@ type Config struct {
 	Args []string
 }
 
+// Fixed serving parameters.
+const (
+	// solverParallelism is blueprint.InferOptions.Parallelism for every
+	// solver run: the service takes its throughput from concurrent
+	// requests, not per-request fan-out (results are byte-identical
+	// either way).
+	solverParallelism = 1
+	// windowEpochs is every session's windowed-estimator capacity, in
+	// sealed epochs.
+	windowEpochs = 64
+	// defaultTimeout applies when a request carries no timeout_ms;
+	// maxTimeout caps client-supplied deadlines.
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 2 * time.Minute
+)
+
 func (c Config) withDefaults() Config {
-	if c.SolverParallelism <= 0 {
-		c.SolverParallelism = 1
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -139,15 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.WindowEpochs <= 0 {
-		c.WindowEpochs = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = defaultSnapshotInterval
@@ -229,7 +217,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		cache:    newLRUCache(cfg.CacheEntries),
 		flights:  newFlightGroup(),
-		sessions: newSessionStore(cfg.MaxSessions, cfg.WindowEpochs),
+		sessions: newSessionStore(cfg.MaxSessions, windowEpochs),
 		manifest: obs.NewManifest(cfg.Tool, cfg.Args),
 		queue:    make(chan *job, cfg.QueueDepth),
 		poolDone: make(chan struct{}),
@@ -383,14 +371,11 @@ func (s *Server) submit(ctx context.Context, fn func(context.Context)) error {
 }
 
 // requestContext derives the per-request deadline: timeout_ms when
-// given (capped at MaxTimeout), the server default otherwise.
+// given (capped at maxTimeout), defaultTimeout otherwise.
 func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+	d := defaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+		d = min(time.Duration(timeoutMS)*time.Millisecond, maxTimeout)
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -429,27 +414,17 @@ func writeBody(w http.ResponseWriter, status int, contentType string, body []byt
 	w.Write(body)
 }
 
-// mediaType extracts the bare media type from a Content-Type or Accept
-// header element, dropping parameters and normalizing case.
-func mediaType(v string) string {
-	if i := strings.IndexByte(v, ';'); i >= 0 {
-		v = v[:i]
-	}
-	return strings.ToLower(strings.TrimSpace(v))
-}
-
-// acceptsBinary reports whether any element of the Accept header names
-// the binary codec.
-func acceptsBinary(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if mediaType(part) == ContentTypeBinary {
-			return true
-		}
-	}
-	return false
-}
-
 func writeError(w http.ResponseWriter, status int, msg string) {
+	writeResult(w, status, errorBody(msg))
+}
+
+// writeResult answers with a finished (status, body) pair — a direct
+// error, or a result published through a coalesced flight. Failure
+// statuses get their accounting here, so a follower replaying a shed
+// or timed-out leader answers exactly like the leader: 429 with
+// Retry-After and serve_queue_reject_total, 504 with
+// serve_timeout_total.
+func writeResult(w http.ResponseWriter, status int, body []byte) {
 	switch status {
 	case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusMethodNotAllowed:
 		obsBadReq.Inc()
@@ -461,11 +436,10 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	case http.StatusGatewayTimeout:
 		obsTimeouts.Inc()
 	}
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	writeBody(w, status, contentTypeJSON, body)
 }
 
-// errorBody renders the body writeError would send, for publishing a
-// failure through a coalesced flight.
+// errorBody renders an error response body.
 func errorBody(msg string) []byte {
 	body, _ := json.Marshal(ErrorResponse{Error: msg})
 	return body
@@ -498,40 +472,16 @@ func submitErrToStatus(err error) (int, string) {
 	}
 }
 
-// binaryKeySalt separates the binary-response cache/flight keyspace
-// from the JSON one: flights and the cache hold fully-encoded bodies,
-// so a request asking for a binary response can never be answered from
-// (or coalesced onto) a JSON rendering of the same digest, and vice
-// versa. The request codec needs no salt — both decode into the same
-// wire structs before digesting.
-const binaryKeySalt = 0x9e3779b97f4a7c15
-
 // handleInfer is POST /v1/infer: measurements → inferred blueprint,
 // with digest-keyed caching and coalescing in front of the solver.
-// Request and response bodies are JSON by default; a Content-Type of
-// ContentTypeBinary declares a binary request frame and an Accept
-// naming it selects a binary response frame (errors stay JSON).
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
-	if mediaType(r.Header.Get("Content-Type")) == ContentTypeBinary {
-		obsBinary.Inc()
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		dec, err := DecodeInferRequest(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		req = *dec
-	} else if err := decode(r, &req); err != nil {
+	if err := decode(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	opts := req.Options.ToInferOptions()
-	opts.Parallelism = s.cfg.SolverParallelism
+	opts.Parallelism = solverParallelism
 	var m *blueprint.Measurements
 	var sess *session
 	var sessDigest uint64
@@ -564,23 +514,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	key := digestInfer(m, opts)
-	binaryResp := acceptsBinary(r)
-	if binaryResp {
-		obsBinary.Inc()
-		key ^= binaryKeySalt
-	}
-	// Success bodies carry the negotiated codec; every error rendering
-	// below is JSON regardless.
-	ctFor := func(status int) string {
-		if status == http.StatusOK && binaryResp {
-			return ContentTypeBinary
-		}
-		return contentTypeJSON
-	}
 
 	if body, ok := s.cache.get(key); ok {
 		w.Header().Set("X-Blu-Cache", "hit")
-		writeBody(w, http.StatusOK, ctFor(http.StatusOK), body)
+		writeBody(w, http.StatusOK, contentTypeJSON, body)
 		return
 	}
 	w.Header().Set("X-Blu-Cache", "miss")
@@ -590,11 +527,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	f, leader := s.flights.join(key)
 	if !leader {
-		// Coalesced: wait for the leader's published result. The salted
-		// key guarantees the leader encoded with this request's codec.
+		// Coalesced: wait for the leader's published result.
 		select {
 		case <-f.done:
-			writeBody(w, f.status, ctFor(f.status), f.body)
+			writeResult(w, f.status, f.body)
 		case <-ctx.Done():
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		}
@@ -628,17 +564,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			Starts:       res.Starts,
 			Iterations:   res.Iterations,
 		}
-		var encErr error
-		if binaryResp {
-			body, encErr = EncodeInferResponse(&resp)
-		} else {
-			body, encErr = json.Marshal(resp)
-		}
-		if encErr != nil {
-			// Unreachable for solver output (N and client sets are
-			// validated), kept as a real branch so a future wire change
-			// fails loudly instead of caching a half-written frame.
-			status, body = http.StatusInternalServerError, errorBody(encErr.Error())
+		var err error
+		if body, err = json.Marshal(resp); err != nil {
+			status, body = http.StatusInternalServerError, errorBody(err.Error())
 		} else {
 			s.cache.put(key, body)
 			if sess != nil {
@@ -649,14 +577,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// Publish to followers before answering, so the flight never
 	// outlives its leader.
 	s.flights.finish(key, f, status, body)
-	if status == http.StatusTooManyRequests {
-		writeError(w, status, "work queue full, retry later")
-		return
-	}
-	if status == http.StatusGatewayTimeout {
-		obsTimeouts.Inc()
-	}
-	writeBody(w, status, ctFor(status), body)
+	writeResult(w, status, body)
 }
 
 // handleJoint is POST /v1/joint: topology + clear/blocked sets →

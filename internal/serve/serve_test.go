@@ -356,6 +356,58 @@ func TestInferCoalescing(t *testing.T) {
 	}
 }
 
+// TestCoalescedFollowerKeepsErrorSemantics is the regression test for
+// followers replaying a failed flight: a follower of a shed leader must
+// answer 429 with Retry-After and count serve_queue_reject_total, and a
+// follower of a timed-out leader must count serve_timeout_total — the
+// same answer the leader itself gives.
+func TestCoalescedFollowerKeepsErrorSemantics(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	m, err := (&MeasurementsWire{N: 3, P: []float64{0.7, 0.7, 1},
+		Pairs: []PairProb{{0, 1, 0.7}, {0, 2, 0.7}, {1, 2, 0.7}}}).ToMeasurements()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		status     int
+		msg        string
+		counter    *obs.Counter
+		retryAfter string
+	}{
+		{http.StatusTooManyRequests, "work queue full, retry later", obsRejected, "1"},
+		{http.StatusGatewayTimeout, "request deadline exceeded", obsTimeouts, ""},
+	} {
+		seed := uint64(40 + tc.status)
+		key := digestInfer(m, blueprint.InferOptions{Seed: seed, Parallelism: solverParallelism})
+		f, leader := s.flights.join(key)
+		if !leader {
+			t.Fatal("flight already in progress")
+		}
+		coalesced0, count0 := obsCoalesced.Value(), tc.counter.Value()
+		respCh := make(chan *http.Response, 1)
+		go func() { respCh <- post(t, ts.URL+"/v1/infer", inferBody(seed)) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for obsCoalesced.Value() == coalesced0 {
+			if time.Now().After(deadline) {
+				t.Fatal("request never coalesced onto the flight")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.flights.finish(key, f, tc.status, errorBody(tc.msg))
+		resp := <-respCh
+		body := readAll(t, resp)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("follower status %d, want %d (body %s)", resp.StatusCode, tc.status, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("%d follower Retry-After %q, want %q", tc.status, got, tc.retryAfter)
+		}
+		if tc.counter.Value() == count0 {
+			t.Errorf("%d follower did not advance its status counter", tc.status)
+		}
+	}
+}
+
 // blockWorkers occupies every pool worker with jobs that hold until
 // release is closed, returning once all of them are running.
 func blockWorkers(t *testing.T, s *Server, n int) (release chan struct{}, done *sync.WaitGroup) {

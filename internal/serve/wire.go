@@ -94,7 +94,7 @@ func (w *MeasurementsWire) ToMeasurements() (*blueprint.Measurements, error) {
 }
 
 // InferOptionsWire is the subset of blueprint.InferOptions a client may
-// set. Parallelism is a server resource decision (Config.SolverParallelism)
+// set. Parallelism is a server resource decision (solverParallelism)
 // and is excluded — inference results are byte-identical at every
 // parallelism anyway, so it cannot change a response.
 type InferOptionsWire struct {
@@ -169,8 +169,7 @@ func TopologyToWire(t *blueprint.Topology) TopologyWire {
 // source must be present: inline Measurements, or Session naming a
 // streaming session previously fed via POST /v1/observe — the server
 // then infers from the session's windowed estimate, warm-starting from
-// the session's previous blueprint. Session-keyed inference is
-// JSON-only; the binary codec carries inline measurements.
+// the session's previous blueprint.
 type InferRequest struct {
 	Session      string           `json:"session,omitempty"`
 	Measurements MeasurementsWire `json:"measurements,omitempty"`
