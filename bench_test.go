@@ -114,6 +114,35 @@ func BenchmarkInferMCMC(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmStart measures the §3.7 refresh economics: the same
+// drifted instance solved cold (full multi-start fan-out) and solved
+// warm from the pre-drift blueprint, where one repair chain probes the
+// seed and the fan-out is skipped once it converges. The ratio of the
+// two lines is the refresh discount session-keyed infers ride on. The
+// drift exceeds the solver tolerance, so the repair must actually move:
+// a verbatim warm hit would measure only the residual check.
+func BenchmarkWarmStart(b *testing.B) {
+	prev := randomTopo(12, 6, 7)
+	drifted := &blueprint.Topology{N: prev.N, HTs: append([]blueprint.HiddenTerminal(nil), prev.HTs...)}
+	for k := range drifted.HTs {
+		drifted.HTs[k].Q += 0.03
+	}
+	meas := drifted.Measure()
+	for _, tc := range []struct {
+		name string
+		warm *blueprint.Topology
+	}{{"Cold", nil}, {"Warm", prev}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := blueprint.Infer(meas, blueprint.InferOptions{Seed: 21, WarmStart: tc.warm}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJointProb measures one higher-order joint-distribution query
 // via recursive conditioning (Section 3.6), uncached and cached.
 func BenchmarkJointProb(b *testing.B) {
@@ -166,9 +195,9 @@ func BenchmarkSpeculativeSchedule(b *testing.B) {
 
 // BenchmarkSchedule measures one full subframe scheduling decision for
 // each of the paper's three schedulers on the same Fig-15 working-point
-// cell, mirroring the scheduler section cmd/blubench writes into the
-// BENCH JSON. With -benchmem it exposes the steady-state allocation
-// profile of the kernels (scratch reuse, flat caches, per-call arena).
+// cell. With -benchmem it exposes the steady-state allocation profile
+// of the kernels (scratch reuse, flat caches, per-call arena); the
+// AllocsPerRun ceiling tests in internal/sched gate that profile.
 func BenchmarkSchedule(b *testing.B) {
 	const subframes = 100
 	cell, err := blu.NewCell(blu.CellConfig{

@@ -53,17 +53,14 @@ echo "== kernel smoke =="
 # steady state and byte-identical across cache bounds and parallelism:
 # re-run the AllocsPerRun ceilings and the golden trace tests for both
 # kernels — cold inference and the warm-started §3.7 refresh repair —
-# then a short blubench scheduler+codec+warm-start run whose BENCH
-# JSON must pass blumanifest's schema check (parse, invariants,
-# round-trip) with all scheduler, codec, warm-start, and observe
-# entries and nonzero cache-hit counters present.
-go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance' ./internal/sched/
+# plus the scheduler counter test (group-cache hits, joint-memo hits
+# and scratch reuse all nonzero). Then run every Go benchmark once:
+# go test ./... compiles benchmark bodies but never runs them, so a
+# benchmark that fails (Schedule, Infer, MCMC, WarmStart, CodecJSON,
+# Observe, the figure runs) would otherwise go unnoticed.
+go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance|TestGroupCacheResetCounter' ./internal/sched/
 go test $short -run 'TestInferAllocCeiling|TestInferTraceGolden|TestDeltaSpecializationsExact|TestWarmStart' ./internal/blueprint/
-go run ./cmd/blubench -sched -o "$obsdir/bench_sched.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Schedule/PF,Schedule/AA,Schedule/BLU,Codec/JSON,Infer/WarmStartCold,Infer/WarmStart,Serve/Observe \
-  -require sched_blu_cache_hit_total,sched_joint_cache_hit_total,sched_blu_scratch_reuse_total \
-  "$obsdir/bench_sched.json"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== chaos smoke =="
 # The fault-injection chaos suite under the race detector (short mode:
@@ -100,10 +97,11 @@ go test -run '^$' -fuzz '^FuzzRestoreSessionRecord$' -fuzztime 10s ./internal/se
 
 echo "== serve smoke =="
 # The serving layer end to end, race-instrumented: start blud on a
-# loopback port, drive a seeded closed-loop bluload run against it, and
-# require (a) the load report passes blumanifest's BENCH schema check
-# with all three endpoint entries, (b) the embedded server snapshot
-# proves the result cache actually absorbed repeats (nonzero
+# loopback port, drive a seeded closed-loop bluload run against it
+# (bluload exits nonzero if any endpoint in its mix completed no
+# request), and require (a) its manifest validates and carries the
+# daemon's per-endpoint serve counters, (b) that snapshot proves the
+# result cache actually absorbed repeats (nonzero
 # serve_cache_hit_total), and (c) a SIGTERM drain flushes a manifest
 # that validates with the same counters.
 blud_pid=""
@@ -128,21 +126,19 @@ if [ -z "$addr" ]; then
   cat "$obsdir/blud.out" "$obsdir/blud.err" >&2
   exit 1
 fi
-"$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -o "$obsdir/bench_serve.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer,Serve/joint,Serve/schedule \
-  -require serve_requests_total,serve_cache_hit_total \
-  "$obsdir/bench_serve.json"
+"$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -o "$obsdir/load_serve.json" >/dev/null
+go run ./cmd/blumanifest \
+  -require serve_requests_total,serve_cache_hit_total,serve_infer_total,serve_joint_total,serve_schedule_total \
+  "$obsdir/load_serve.json"
 # A second run drives the streaming refresh loop: observe batches fold
 # into session windows while session-keyed infers solve from the live
 # estimate, so the digest-delta invalidation path must fire for real —
 # nonzero serve_observe_total and serve_invalidation_total prove
 # batches folded AND moved digests under cached results.
-"$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -mix observe -o "$obsdir/bench_serve_obs.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer,Serve/observe \
-  -require serve_requests_total,serve_observe_total,serve_invalidation_total \
-  "$obsdir/bench_serve_obs.json"
+"$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -mix observe -o "$obsdir/load_serve_obs.json" >/dev/null
+go run ./cmd/blumanifest \
+  -require serve_requests_total,serve_observe_total,serve_invalidation_total,serve_infer_total,serve_joint_total,serve_schedule_total \
+  "$obsdir/load_serve_obs.json"
 kill -TERM "$blud_pid"
 wait "$blud_pid"
 blud_pid=""
@@ -217,10 +213,11 @@ echo "== fleet smoke =="
 # URLs pre-wired for cross-shard blueprint exchange) behind one router
 # process. A bluload -cells run drives the per-cell observe/infer mix
 # through the router's proxy path, and after a warm-up pause for
-# exchange rounds a second run's report must carry Fleet/* entries plus
-# nonzero routing, exchange, and border-dedup counters (the router's
-# /metrics aggregates the shard snapshots, so the exchange counters
-# cross process boundaries to get there). Then the crash drill: one
+# exchange rounds a second run must complete requests on every Fleet/*
+# endpoint and its manifest must carry nonzero routing, exchange,
+# border-dedup and per-endpoint serve counters (the router's /metrics
+# aggregates the shard snapshots, so the shard counters cross process
+# boundaries to get there). Then the crash drill: one
 # shard dies by real kill -9 and is relaunched on the same port and
 # state dir — it must log its recovery, answer its cell's session with
 # a byte-identical digest, and the surviving shards' cached responses
@@ -269,11 +266,10 @@ fi
 # blueprints so border reports are published and re-received (dedup).
 sleep 1.2
 "$obsdir/bluload" -addr "$faddr" -cells 3 -seed 1 -c 4 -n 150 -mix observe \
-  -o "$obsdir/bench_fleet.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Fleet/infer,Fleet/observe,Fleet/joint,Fleet/schedule \
-  -require fleet_routed_total,fleet_exchange_rounds_total,fleet_exchange_published_total,fleet_border_dedup_total \
-  "$obsdir/bench_fleet.json"
+  -o "$obsdir/load_fleet.json" >/dev/null
+go run ./cmd/blumanifest \
+  -require fleet_routed_total,fleet_exchange_rounds_total,fleet_exchange_published_total,fleet_border_dedup_total,serve_infer_total,serve_observe_total,serve_joint_total,serve_schedule_total \
+  "$obsdir/load_fleet.json"
 # The merged global interference map must answer through the router.
 "$obsdir/bluprobe" -addr "$faddr" -path /v1/fleet/map >/dev/null
 # Crash drill. With (-cells 3, -seed 1) the ring assigns cell-0 to

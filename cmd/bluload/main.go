@@ -33,18 +33,19 @@
 //	             plus joint/schedule cycled across cells round-robin.
 //	             The cell directory is derived from (-cells, -seed), the
 //	             same derivation blufleet uses, so membership agrees
-//	             with the fleet without shared files. Report entries are
-//	             named Fleet/* and the embedded /metrics snapshot is the
-//	             router's fleet-wide aggregate.
-//	-o file      write an obs.BenchReport JSON (entries Serve/infer,
-//	             Serve/joint, Serve/schedule, and Serve/observe in the
-//	             observe mix; the server's /metrics snapshot is
-//	             embedded so its serve_cache_* and serve_observe_*
-//	             counters ride along)
+//	             with the fleet without shared files. Endpoint lines
+//	             are named Fleet/* and the -o snapshot is the router's
+//	             fleet-wide aggregate.
+//	-o file      write an obs.Manifest JSON: Config carries the
+//	             per-endpoint latency summary (n, mean/p50/p90/p99 ms)
+//	             and the rejected/fenced/retried/failed tallies, and
+//	             Metrics is the target's /metrics snapshot, so the
+//	             daemon's serve_* counters reach blumanifest -require
 //
 // Exit status is nonzero when any request fails (transport error or a
 // status other than 200/429/307; 429s are backpressure and 307s are
-// reshard fences, counted but not failures).
+// reshard fences, counted but not failures), when an endpoint in the
+// mix completed no request, or when -o cannot fetch the snapshot.
 //
 // Backpressure is honored, not just counted: a 429 carrying
 // Retry-After makes the worker sleep out the advertised horizon —
@@ -64,7 +65,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,7 +117,7 @@ type payloadPool struct {
 	seedQ       []string
 }
 
-// entryName renders an endpoint's bench-report name: Serve/* against a
+// entryName renders an endpoint's report name: Serve/* against a
 // single daemon, Fleet/* through a router.
 func (p *payloadPool) entryName(ep int) string {
 	if p.fleet {
@@ -440,7 +440,7 @@ func run(args []string) error {
 	qps := fs.Float64("qps", 0, "paced request rate (0 = unpaced)")
 	mix := fs.String("mix", "default", "traffic mix: default or observe")
 	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a blufleet router (0 = single daemon)")
-	out := fs.String("o", "", "write an obs.BenchReport JSON to this file")
+	out := fs.String("o", "", "write an obs.Manifest JSON (latency summary + target /metrics) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -457,6 +457,11 @@ func run(args []string) error {
 		return fmt.Errorf("-cells must be >= 0, got %d", *cells)
 	}
 	base := "http://" + *addr
+	var man *obs.Manifest
+	if *out != "" {
+		man = obs.NewManifest("bluload", args)
+		man.Seed = *seed
+	}
 
 	// Liveness gate before spending the measurement window. A fleet
 	// router's /healthz carries the same "status" field and reports
@@ -603,69 +608,68 @@ func run(args []string) error {
 		totalOK, merged.rejected, merged.fenced, merged.retried, merged.failed, wall.Round(time.Millisecond),
 		float64(totalOK)/wall.Seconds())
 
-	report := &obs.BenchReport{
-		GoVersion:   runtime.Version(),
-		GitDescribe: obs.GitDescribe(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Note:        fmt.Sprintf("bluload seed=%d c=%d mix=%s cells=%d against %s", *seed, *conc, *mix, *cells, *addr),
-	}
+	summary := map[string]endpointSummary{}
+	var idle []string
 	for ep := 0; ep < numEndpoints; ep++ {
+		if len(pool.byEndpoint[ep]) == 0 {
+			continue // endpoint not in this mix
+		}
 		lats := merged.latencies[ep]
 		if len(lats) == 0 {
-			if len(pool.byEndpoint[ep]) == 0 {
-				continue // endpoint not in this mix
-			}
 			fmt.Printf("  %-16s no completed requests\n", pool.entryName(ep))
+			idle = append(idle, pool.entryName(ep))
 			continue
 		}
 		var sum float64
 		for _, l := range lats {
 			sum += l
 		}
-		mean := sum / float64(len(lats))
-		p50, _ := stats.Percentile(lats, 50)
-		p90, _ := stats.Percentile(lats, 90)
-		p99, _ := stats.Percentile(lats, 99)
+		es := endpointSummary{N: len(lats), MeanMS: sum / float64(len(lats))}
+		es.P50MS, _ = stats.Percentile(lats, 50)
+		es.P90MS, _ = stats.Percentile(lats, 90)
+		es.P99MS, _ = stats.Percentile(lats, 99)
 		fmt.Printf("  %-16s n=%-5d mean=%.2fms p50=%.2fms p90=%.2fms p99=%.2fms\n",
-			pool.entryName(ep), len(lats), mean, p50, p90, p99)
-		report.Entries = append(report.Entries, obs.BenchEntry{
-			Name:       pool.entryName(ep),
-			Iterations: len(lats),
-			NsPerOp:    int64(mean * float64(time.Millisecond)),
-			MsPerOp:    mean,
-		})
+			pool.entryName(ep), es.N, es.MeanMS, es.P50MS, es.P90MS, es.P99MS)
+		summary[pool.entryName(ep)] = es
 	}
 
-	// Embed the server's own metric snapshot: the serve_cache_* and
-	// queue counters live in the daemon process, and this is how they
-	// reach the bench file for ci.sh to assert on.
-	if snap, err := fetchMetrics(base); err != nil {
-		fmt.Fprintf(os.Stderr, "bluload: metrics fetch failed: %v\n", err)
-	} else {
-		report.Metrics = *snap
-	}
-
-	if *out != "" {
-		if err := report.Validate(); err != nil {
-			return fmt.Errorf("report invalid: %w", err)
+	if man != nil {
+		man.Config = map[string]any{
+			"addr": *addr, "c": *conc, "mix": *mix, "cells": *cells,
+			"endpoints": summary,
+			"rejected":  merged.rejected, "fenced": merged.fenced,
+			"retried": merged.retried, "failed": merged.failed,
 		}
-		data, err := json.MarshalIndent(report, "", "  ")
+		// Finish snapshots the local registry; the counters that matter
+		// live in the target process, so its snapshot replaces it.
+		man.Finish()
+		snap, err := fetchMetrics(base)
 		if err != nil {
+			return fmt.Errorf("metrics fetch: %w", err)
+		}
+		man.Metrics = *snap
+		if err := man.Write(*out); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bluload: report written to %s\n", *out)
+		fmt.Printf("bluload: manifest written to %s\n", *out)
 	}
 
 	if merged.failed > 0 {
 		return fmt.Errorf("%d requests failed (first: %s)", merged.failed, merged.firstErr)
 	}
-	if totalOK == 0 {
-		return fmt.Errorf("no requests completed")
+	if len(idle) > 0 {
+		return fmt.Errorf("no completed requests on %s", strings.Join(idle, ", "))
 	}
 	return nil
+}
+
+// endpointSummary is one endpoint's latency line in the -o manifest.
+type endpointSummary struct {
+	N      int     `json:"n"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
 }
 
 // postSeed issues one synchronous observe outside the measurement
@@ -702,6 +706,9 @@ func fetchMetrics(base string) (*obs.Snapshot, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
 	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return nil, err

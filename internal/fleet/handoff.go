@@ -21,11 +21,8 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blu/internal/obs"
@@ -131,32 +128,4 @@ func (sh *Shard) checkpoint() {
 	if sh.srv.Durable() {
 		_ = sh.srv.SnapshotNow()
 	}
-}
-
-// postHandoff drives one handoff call against a shard base URL — the
-// router's client side of the protocol.
-func postHandoff(ctx context.Context, client *http.Client, baseURL string, req *HandoffRequest) (*HandoffResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/fleet/handoff", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 512))
-		return nil, fmt.Errorf("fleet: handoff %s to %s: status %d: %s", req.Mode, baseURL, hres.StatusCode, msg)
-	}
-	var resp HandoffResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

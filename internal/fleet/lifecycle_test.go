@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"blu/internal/blueprint"
+	"blu/internal/obs"
 	"blu/internal/serve"
 )
 
@@ -195,6 +197,54 @@ func TestRouterRelayHeaders(t *testing.T) {
 	}
 	if got := rec.Header().Get("X-Echo-Conn"); got != "" {
 		t.Errorf("hop-by-hop Keep-Alive crossed to the shard: %q", got)
+	}
+}
+
+// TestRouterMetricsNamesUnreachedShard pins honest aggregation: when a
+// shard's scrape fails, the router's /metrics still sums the live
+// shards but names the dead one in Unreached instead of silently
+// shrinking the totals, and the body still decodes as an obs.Snapshot.
+func TestRouterMetricsNamesUnreachedShard(t *testing.T) {
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"counters":{"fleet_test_live_total":7}}`))
+	}))
+	defer live.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	rt, err := NewRouter(RouterConfig{
+		Shards:    map[string]string{"shard-0": live.URL, "shard-1": dead.URL},
+		Directory: testDirectory(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var got MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if v := got.Counters["fleet_test_live_total"]; v != 7 {
+		t.Errorf("fleet_test_live_total = %d, want 7 from the live shard", v)
+	}
+	if len(got.Unreached) != 1 || got.Unreached[0] != "shard-1" {
+		t.Errorf("unreached = %v, want [shard-1]", got.Unreached)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if v := snap.Counters["fleet_test_live_total"]; v != 7 {
+		t.Errorf("as obs.Snapshot: fleet_test_live_total = %d, want 7", v)
 	}
 }
 

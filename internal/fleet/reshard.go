@@ -145,6 +145,12 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		return nil, err
 	}
 	rt.waitQuiesce(ctx, moved)
+	handoff := func(url string, req *HandoffRequest, resp *HandoffResponse) error {
+		if err := callJSON(ctx, rt.client, http.MethodPost, url+"/v1/fleet/handoff", req, resp); err != nil {
+			return fmt.Errorf("handoff %s: %w", req.Mode, err)
+		}
+		return nil
+	}
 
 	// Move state pairwise: export from the loser, import into the
 	// gainer. Either side failing aborts with the old ring intact.
@@ -157,14 +163,14 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		if err != nil {
 			return abort(err)
 		}
-		exp, err := postHandoff(ctx, rt.client, loserURL, &HandoffRequest{Mode: "export", Cells: cells})
-		if err != nil {
+		var exp HandoffResponse
+		if err := handoff(loserURL, &HandoffRequest{Mode: "export", Cells: cells}, &exp); err != nil {
 			return abort(err)
 		}
 		if len(exp.Sessions) == 0 {
 			continue // nothing live on those cells yet
 		}
-		if _, err := postHandoff(ctx, rt.client, gainerURL, &HandoffRequest{Mode: "import", Sessions: exp.Sessions}); err != nil {
+		if err := handoff(gainerURL, &HandoffRequest{Mode: "import", Sessions: exp.Sessions}, new(HandoffResponse)); err != nil {
 			return abort(err)
 		}
 	}
@@ -192,7 +198,7 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		notify[req.Name] = oldShards[req.Name]
 	}
 	for _, u := range notify {
-		if _, err := postHandoff(ctx, rt.client, u, &HandoffRequest{Mode: "membership", Shards: names, Peers: newShards}); err != nil {
+		if err := handoff(u, &HandoffRequest{Mode: "membership", Shards: names, Peers: newShards}, new(HandoffResponse)); err != nil {
 			obsReshardErrors.Inc()
 		}
 	}
@@ -201,7 +207,7 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		if err != nil {
 			continue
 		}
-		if _, err := postHandoff(ctx, rt.client, u, &HandoffRequest{Mode: "release", Cells: cells}); err != nil {
+		if err := handoff(u, &HandoffRequest{Mode: "release", Cells: cells}, new(HandoffResponse)); err != nil {
 			obsReshardErrors.Inc()
 		}
 	}

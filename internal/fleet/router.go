@@ -12,6 +12,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -361,8 +362,8 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		bp, err := rt.fetchBlueprints(r.Context(), shards[name])
-		if err != nil {
+		var bp BlueprintsResponse
+		if err := callJSON(r.Context(), rt.client, http.MethodGet, shards[name]+"/v1/fleet/blueprints", nil, &bp); err != nil {
 			resp.Unreached = append(resp.Unreached, name)
 			continue
 		}
@@ -435,30 +436,54 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-func (rt *Router) fetchBlueprints(ctx context.Context, baseURL string) (*BlueprintsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/fleet/blueprints", nil)
-	if err != nil {
-		return nil, err
+// callJSON is the fleet's one peer call: marshal in (no body when nil),
+// send it with ctx, and decode a 200 answer into out. Any other status
+// is an error carrying up to 512 bytes of the peer's body.
+func callJSON(ctx context.Context, client *http.Client, method, url string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
 	}
-	res, err := rt.client.Do(req)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	res, err := client.Do(req)
+	if err != nil {
+		return err
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", res.StatusCode)
+		msg, _ := io.ReadAll(io.LimitReader(res.Body, 512))
+		return fmt.Errorf("fleet: %s %s: status %d: %s", method, url, res.StatusCode, bytes.TrimSpace(msg))
 	}
-	var bp BlueprintsResponse
-	if err := json.NewDecoder(res.Body).Decode(&bp); err != nil {
-		return nil, err
+	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+		return fmt.Errorf("fleet: %s %s: decode: %w", method, url, err)
 	}
-	return &bp, nil
+	return nil
+}
+
+// MetricsResponse is the router's aggregating GET /metrics body: the
+// summed snapshot plus the shards whose scrape failed, so a partial
+// total says it is partial. The snapshot is embedded, so a client that
+// decodes the body as an obs.Snapshot still reads the summed totals.
+type MetricsResponse struct {
+	obs.Snapshot
+	Unreached []string `json:"unreached,omitempty"`
 }
 
 // handleMetrics is GET /metrics. In aggregating mode it sums every
-// shard's snapshot into the router's own registry snapshot — counters,
-// float counters, histograms, and timers add; gauges last-write-wins
-// in shard-name order — so one scrape shows fleet-wide totals. With
+// reachable shard's snapshot into the router's own registry snapshot —
+// counters, float counters, histograms, and timers add; gauges
+// last-write-wins in shard-name order — so one scrape shows fleet-wide
+// totals, and names every shard it could not scrape in Unreached. With
 // LocalMetrics it returns the local registry only (all-in-one
 // deployments share one process registry and aggregation would
 // multiply-count).
@@ -468,7 +493,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(obs.Snap())
 		return
 	}
-	total := obs.Snap()
+	resp := MetricsResponse{Snapshot: obs.Snap()}
 	shards := rt.shardList()
 	names := make([]string, 0, len(shards))
 	for n := range shards {
@@ -476,34 +501,15 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		snap, err := rt.fetchMetrics(r.Context(), shards[name])
-		if err != nil {
+		var snap obs.Snapshot
+		if err := callJSON(r.Context(), rt.client, http.MethodGet, shards[name]+"/metrics", nil, &snap); err != nil {
+			resp.Unreached = append(resp.Unreached, name)
 			continue
 		}
-		total = sumSnapshots(total, *snap)
+		resp.Snapshot = sumSnapshots(resp.Snapshot, snap)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(total)
-}
-
-func (rt *Router) fetchMetrics(ctx context.Context, baseURL string) (*obs.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", res.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	json.NewEncoder(w).Encode(resp)
 }
 
 // sumSnapshots folds b into a: counters, float counters, histograms,

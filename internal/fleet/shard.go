@@ -9,7 +9,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -299,42 +298,15 @@ func (sh *Shard) ExchangeOnce(ctx context.Context) (ExchangeStats, error) {
 			if !ok {
 				return stats, fmt.Errorf("fleet: no peer URL for shard %q", owner)
 			}
-			r, err := sh.postExchange(ctx, url, req)
-			if err != nil {
+			if err := callJSON(ctx, sh.client, http.MethodPost, url+"/v1/fleet/exchange", req, &resp); err != nil {
 				return stats, err
 			}
-			resp = *r
 		}
 		stats.Folded += resp.Folded
 		stats.Deduped += resp.Deduped
 		stats.Skipped += resp.Skipped
 	}
 	return stats, nil
-}
-
-func (sh *Shard) postExchange(ctx context.Context, baseURL string, req *ExchangeRequest) (*ExchangeResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/fleet/exchange", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := sh.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: exchange to %s: status %d", baseURL, hres.StatusCode)
-	}
-	var resp ExchangeResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // handleExchange is POST /v1/fleet/exchange: fold a peer's border

@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -446,13 +447,15 @@ func errorBody(msg string) []byte {
 }
 
 // decode parses a JSON request body strictly enough to catch malformed
-// payloads (bad JSON, trailing garbage).
+// payloads (bad JSON, trailing garbage). The body must end after the
+// value: dec.More reports false before a stray '}' or ']', so only a
+// clean EOF proves nothing follows.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad JSON: %v", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("bad JSON: trailing data")
 	}
 	return nil

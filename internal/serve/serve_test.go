@@ -24,7 +24,7 @@ func init() { obs.Enable() }
 
 // newTestServer builds a Server plus an httptest front end and
 // registers cleanup that drains the pool.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -105,6 +105,8 @@ func TestHandlerValidation(t *testing.T) {
 	}{
 		{"infer bad JSON", "POST", "/v1/infer", `{"measurements":`, http.StatusBadRequest},
 		{"infer trailing garbage", "POST", "/v1/infer", string(inferBody(1)) + `{"x":1}`, http.StatusBadRequest},
+		{"infer trailing brace", "POST", "/v1/infer", string(inferBody(1)) + "}", http.StatusBadRequest},
+		{"observe trailing bracket", "POST", "/v1/observe", `{"session":"v","n":2}` + "]", http.StatusBadRequest},
 		{"infer n=0", "POST", "/v1/infer", `{"measurements":{"n":0,"p":[]}}`, http.StatusBadRequest},
 		{"infer n too large", "POST", "/v1/infer",
 			fmt.Sprintf(`{"measurements":{"n":%d,"p":[]}}`, blueprint.MaxClients+1), http.StatusBadRequest},
